@@ -1,7 +1,7 @@
 """Finite element solver for the Cahn-Hilliard equation with dynamic
 Cahn-Hilliard boundary conditions on a 2-D disk."""
 
-from .analysis import ErrorReport, eoc, final_error, gl_energy, h1_norm, l2_norm, total_mass
+from .analysis import ErrorReport, eoc, final_error, h1_norm, l2_norm
 from .assembly import (
     assemble_bulk_mass,
     assemble_bulk_stiffness,
@@ -16,14 +16,14 @@ from .assembly import (
 )
 from .integrator import (
     BDFScheme,
+    Stepper,
     Trajectory,
     bdf_coefficients,
     bdf_scheme,
+    bdf_step,
     extrapolation_coefficients,
     run,
-    starting_values,
-    step_linear,
-    step_nonlinear,
+    step_count,
 )
 from .mesh import (
     Mesh2D,
@@ -44,7 +44,7 @@ from .problems import (
     problem_by_name,
     verify_manufactured,
 )
-from .saddle import StepMatrix, build_step_matrix, solve
+from .saddle import StepMatrix, build_step_matrix
 
 __version__ = "0.1.0"
 
@@ -55,6 +55,7 @@ __all__ = [
     "MeshFormatError",
     "ProblemSpec",
     "StepMatrix",
+    "Stepper",
     "Trajectory",
     "assemble_bulk_mass",
     "assemble_bulk_stiffness",
@@ -64,6 +65,7 @@ __all__ = [
     "assemble_surface_stiffness",
     "bdf_coefficients",
     "bdf_scheme",
+    "bdf_step",
     "boundary_length",
     "bulk_area",
     "dump_matrix",
@@ -73,7 +75,6 @@ __all__ = [
     "extrapolation_coefficients",
     "final_error",
     "generate_disk_mesh",
-    "gl_energy",
     "h1_norm",
     "import_mesh",
     "l2_norm",
@@ -85,11 +86,7 @@ __all__ = [
     "nonlinearity_vector",
     "problem_by_name",
     "run",
-    "solve",
-    "starting_values",
-    "step_linear",
-    "step_nonlinear",
-    "total_mass",
+    "step_count",
     "validate_mesh",
     "verify_manufactured",
 ]

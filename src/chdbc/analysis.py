@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -94,20 +94,3 @@ def eoc(errors: Sequence[float], hs: Sequence[float]) -> List[Optional[float]]:
         else:
             orders.append(math.log(e1 / e2) / math.log(h1 / h2))
     return orders
-
-
-def total_mass(M, u: np.ndarray) -> float:
-    """The conserved scalar 1^T M u (bulk plus boundary content)."""
-    u = np.asarray(u, dtype=float)
-    return float(np.sum(M @ u))
-
-
-def gl_energy(A, M, W: Callable, u: np.ndarray) -> float:
-    """Discrete Ginzburg-Landau energy (1/2) u^T A u + 1^T M W(u).
-
-    The potential is interpolated at the nodes before integration, matching
-    the assembly convention for nonlinear terms.
-    """
-    u = np.asarray(u, dtype=float)
-    vals = np.asarray(W(u), dtype=float)
-    return float(0.5 * (u @ (A @ u)) + np.sum(M @ vals))

@@ -116,10 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_divides(tau: float, span: float, parser, what: str) -> None:
-    steps = round(span / tau) if tau > 0 else 0
-    if tau <= 0 or steps < 1 or abs(steps * tau - span) > 1e-12 * max(1.0, abs(span)):
-        parser.error(f"{what}: tau={tau} does not divide T={span}")
+def _step_count(tau: float, T: float, k: int, parser, what: str) -> int:
+    try:
+        return integrator.step_count(tau, T, k)
+    except ValueError as exc:
+        parser.error(f"{what}: {exc}")
 
 
 def cmd_convergence(args, parser) -> int:
@@ -132,7 +133,7 @@ def cmd_convergence(args, parser) -> int:
         parser.error("manufactured problems are posed on the unit disk; "
                      "--radius must be 1")
     for tau in taus:
-        _check_divides(tau, args.T, parser, "convergence")
+        _step_count(tau, args.T, args.k, parser, "convergence")
     problem = problems.problem_by_name(args.problem)
     scheme = integrator.bdf_scheme(args.k)
 
@@ -196,11 +197,11 @@ def cmd_evolve(args, parser) -> int:
         parser.error(f"--nodes must be >= 4, got {args.nodes}")
     if not (args.strength > 0):
         parser.error(f"--strength must be positive, got {args.strength}")
-    _check_divides(args.tau, args.T, parser, "evolve")
+    n_steps = _step_count(args.tau, args.T, args.k, parser, "evolve")
     snap_steps = {}
     for t in args.snapshots:
         idx = round(t / args.tau)
-        if abs(idx * args.tau - t) > 1e-9 or not (0 <= idx <= round(args.T / args.tau)):
+        if abs(idx * args.tau - t) > 1e-9 or not (0 <= idx <= n_steps):
             parser.error(
                 f"snapshot time {t} is not a step multiple within [0, {args.T}]"
             )
@@ -210,15 +211,23 @@ def cmd_evolve(args, parser) -> int:
     m = meshmod.generate_disk_mesh(args.nodes, args.radius)
     scheme = integrator.bdf_scheme(args.k)
 
-    traj = integrator.run(problem, m, args.tau, args.T, scheme,
-                          start_mode=args.start_mode)
+    # Only the requested snapshots and one diagnostics row per step are
+    # kept; the files are written once the run has succeeded.
+    stepper = integrator.Stepper(problem, m, args.tau, scheme)
+    snapshots = {}
+    diagnostics = [["t", "mass", "energy"]]
+    for n, t, u, _ in stepper.stream(0.0, n_steps,
+                                     stepper.starts(args.start_mode, 0.0)):
+        if n in snap_steps:
+            snapshots[n] = u
+        diagnostics.append([t, stepper.mass(u), stepper.energy(u)])
 
     os.makedirs(args.out, exist_ok=True)
     written = []
     try:
         for idx in sorted(snap_steps):
             t = snap_steps[idx]
-            u = traj.u_history[idx]
+            u = snapshots[idx]
             rows = [["x", "y", "u"]]
             rows += [[float(x), float(y), float(v)]
                      for (x, y), v in zip(m.nodes, u)]
@@ -229,11 +238,8 @@ def cmd_evolve(args, parser) -> int:
                 path = os.path.join(args.out, f"snapshot_t{t:g}.vtk")
                 _write_text(path, _vtk_snapshot(m, u, f"u at t={t:g}"))
                 written.append(path)
-        rows = [["t", "mass", "energy"]]
-        rows += [[float(t), float(q), float(e)]
-                 for t, q, e in zip(traj.times, traj.mass, traj.energy)]
         path = os.path.join(args.out, "diagnostics.csv")
-        _write_text(path, _csv(rows))
+        _write_text(path, _csv(diagnostics))
         written.append(path)
     except BaseException:
         for path in written:

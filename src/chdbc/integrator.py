@@ -3,7 +3,9 @@
 Classical k-step BDF for linear problems; for nonlinear problems the
 linearly implicit variant evaluates the nonlinearity at the extrapolated
 value built from the k previous steps, so every step solves one constant
-linear saddle system.
+linear saddle system. `bdf_step` is that step. A `Stepper` feeds it for the
+starting values and for the main loop and streams the time levels; `run`
+collects the stream into a `Trajectory`.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import assembly
 from .mesh import Mesh2D
-from .problems import ProblemSpec
+from .problems import ProblemSpec, zero_field
 from .saddle import StepMatrix, build_step_matrix
 
 MAX_ORDER = 6
@@ -93,153 +95,177 @@ class Trajectory:
         return self.w_history[-1]
 
 
-def _history_combination(coeffs, u_history):
-    acc = coeffs[0] * u_history[0]
-    for c, u in zip(coeffs[1:], u_history[1:]):
-        acc = acc + c * u
-    return acc
+def step_count(tau: float, span: float, k: int) -> int:
+    """Number of steps of size tau in span: the one time-grid check.
+
+    The starting values fill the first k-1 steps, so a k-step run needs at
+    least k-1 steps, and every run at least one.
+    """
+    if not (tau > 0):
+        raise ValueError(f"tau must be positive, got {tau}")
+    n_steps = round(span / tau)
+    if abs(n_steps * tau - span) > 1e-12 * max(1.0, abs(span)):
+        raise ValueError(f"tau={tau} does not divide the time span {span}")
+    need = max(1, k - 1)
+    if n_steps < need:
+        raise ValueError(f"tau={tau} gives {n_steps} step(s) over the time span "
+                         f"{span}, but BDF{k} needs at least {need}")
+    return n_steps
 
 
-def step_linear(scheme: BDFScheme, K: StepMatrix, M, u_history: Sequence[np.ndarray],
-                b1: np.ndarray, b2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One k-step BDF step of the linear system.
+def bdf_step(problem: ProblemSpec, scheme: BDFScheme, K: StepMatrix, M,
+             recent: Sequence[np.ndarray], b1: np.ndarray,
+             b2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One k-step BDF step; every step of every run is solved here.
 
-    u_history holds the k previous values, newest first. The first block of
-    the right-hand side is b1 - (1/tau) M sum_j delta_j u^{n-j}; 1/tau is
-    recovered from the scalar delta0/tau stored in the step matrix.
+    `recent` holds the k previous values of u, newest first. The first block
+    of the right-hand side is b1 - (1/tau) M sum_j delta_j u^{n-j}; 1/tau is
+    recovered from the scalar delta0/tau stored in the step matrix. For a
+    nonlinear problem b2 gains M F(sum_j gamma_j u^{n-j-1}), the
+    nonlinearity at the extrapolant, so no nonlinear solve happens. Raises
+    ValueError when the solution is not finite.
     """
     k = scheme.k
-    if len(u_history) != k:
-        raise ValueError(f"history must hold exactly {k} vectors, got {len(u_history)}")
+    if len(recent) != k:
+        raise ValueError(f"history must hold exactly {k} vectors, got {len(recent)}")
+    if problem.kind == "nonlinear":
+        extrapolant = sum((g * u for g, u in zip(scheme.gamma[1:], recent[1:])),
+                          scheme.gamma[0] * recent[0])
+        b2 = b2 + assembly.nonlinearity_vector(M, problem.nonlinearity, extrapolant)
+    tail = sum((d * u for d, u in zip(scheme.delta[2:], recent[1:])),
+               scheme.delta[1] * recent[0])
     inv_tau = K.delta0_over_tau / scheme.delta[0]
-    tail = _history_combination(scheme.delta[1:], u_history)
-    rhs = np.concatenate([b1 - inv_tau * (M @ tail), b2])
-    sol = K.solve(rhs)
-    n = K.block_dim
-    return sol[:n], sol[n:]
-
-
-def step_nonlinear(scheme: BDFScheme, K: StepMatrix, M, u_history: Sequence[np.ndarray],
-                   b1: np.ndarray, b2: np.ndarray,
-                   F: Callable) -> Tuple[np.ndarray, np.ndarray]:
-    """Linearly implicit step: b2 gains the extrapolated nonlinearity.
-
-    The extrapolant sum_j gamma_j u^{n-j-1} reuses the same newest-first
-    history; the step matrix is unchanged, so no nonlinear solve happens.
-    """
-    k = scheme.k
-    if len(u_history) != k:
-        raise ValueError(f"history must hold exactly {k} vectors, got {len(u_history)}")
-    u_pred = _history_combination(scheme.gamma, u_history)
-    b2_eff = b2 + assembly.nonlinearity_vector(M, F, u_pred)
-    return step_linear(scheme, K, M, u_history, b1, b2_eff)
-
-
-class _Operators:
-    """Assembled matrices and load evaluation for one problem on one mesh."""
-
-    def __init__(self, problem: ProblemSpec, mesh: Mesh2D):
-        self.problem = problem
-        self.mesh = mesh
-        self.M_bulk = assembly.assemble_bulk_mass(mesh)
-        self.M_surf = assembly.assemble_surface_mass(mesh)
-        self.M = self.M_bulk + self.M_surf
-        self.A = assembly.assemble_stiffness(mesh)
-        self._mass_weights = np.asarray(self.M.sum(axis=0)).ravel()
-        self._M_lu = None
-
-    def loads(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        # Forcing pairs live on (bulk, surface), so each load combines the
-        # bulk mass applied to the bulk part with the surface mass applied
-        # to the surface part.
-        p, mesh = self.problem, self.mesh
-        b1 = assembly.load_vector(
-            self.M_bulk, assembly.nodal_interpolate(p.f1_bulk, mesh, t)
-        ) + assembly.load_vector(
-            self.M_surf, assembly.nodal_interpolate(p.f1_surf, mesh, t)
-        )
-        b2 = assembly.load_vector(
-            self.M_bulk, assembly.nodal_interpolate(p.f2_bulk, mesh, t)
-        ) + assembly.load_vector(
-            self.M_surf, assembly.nodal_interpolate(p.f2_surf, mesh, t)
-        )
-        return b1, b2
-
-    def recover_w(self, u: np.ndarray, t: float) -> np.ndarray:
-        # Second block equation: M w = A u + b2 (+ nonlinear term).
-        _, b2 = self.loads(t)
-        rhs = self.A @ u + b2
-        if self.problem.kind == "nonlinear":
-            rhs = rhs + assembly.nonlinearity_vector(
-                self.M, self.problem.nonlinearity, u
-            )
-        if self._M_lu is None:
-            self._M_lu = spla.splu(self.M.tocsc())
-        return self._M_lu.solve(rhs)
-
-    def mass_of(self, u: np.ndarray) -> float:
-        return float(self._mass_weights @ u)
-
-    def energy_of(self, u: np.ndarray) -> float:
-        W = self.problem.potential
-        return float(0.5 * (u @ (self.A @ u)) + self._mass_weights @ W(u))
+    sol = K.solve(np.concatenate([b1 - inv_tau * (M @ tail), b2]))
+    u, w = sol[:K.block_dim], sol[K.block_dim:]
+    if not np.isfinite(u).all():
+        raise ValueError("non-finite solution; the extrapolated scheme is "
+                         "likely outside its stability region")
+    return u, w
 
 
 def _bootstrap_substeps(tau: float, k: int) -> int:
     return min(BOOTSTRAP_SUBSTEP_CAP, max(1, ceil(tau ** (-(k - 1) / k))))
 
 
-def _starting_values(ops: _Operators, tau: float, k: int, mode: str,
-                     t_start: float) -> List[Tuple[np.ndarray, np.ndarray]]:
-    problem, mesh = ops.problem, ops.mesh
-    if mode == "exact":
-        if not problem.has_exact_solution:
-            raise ValueError("start mode 'exact' needs exact solutions")
-        return [
-            (
-                assembly.nodal_interpolate(problem.exact_u, mesh, t_start + j * tau),
-                assembly.nodal_interpolate(problem.exact_w, mesh, t_start + j * tau),
-            )
-            for j in range(k)
-        ]
-    if mode != "bootstrap":
-        raise ValueError(f"start mode must be 'exact' or 'bootstrap', got {mode!r}")
+class Stepper:
+    """One problem on one mesh with one step size and scheme.
 
-    u = assembly.nodal_interpolate(problem.u0, mesh, t_start)
-    pairs = [(u, ops.recover_w(u, t_start))]
-    if k == 1:
-        return pairs
-
-    # Advance the remaining k-1 coarse steps with graded BDF1 substeps so the
-    # starting segment itself is accurate to the method order.
-    m = _bootstrap_substeps(tau, k)
-    sub = tau / m
-    one = bdf_scheme(1)
-    K1 = build_step_matrix(ops.M, ops.A, one.delta[0] / sub)
-    for j in range(1, k):
-        t = t_start + (j - 1) * tau
-        for s in range(1, m + 1):
-            ts = t + s * sub
-            b1, b2 = ops.loads(ts)
-            if problem.kind == "nonlinear":
-                u, w = step_nonlinear(one, K1, ops.M, [u], b1, b2,
-                                      problem.nonlinearity)
-            else:
-                u, w = step_linear(one, K1, ops.M, [u], b1, b2)
-        pairs.append((u, w))
-    return pairs
-
-
-def starting_values(problem: ProblemSpec, mesh: Mesh2D, tau: float, k: int,
-                    mode: str) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """k starting pairs (u^j, w^j) at t = 0, tau, ..., (k-1) tau.
-
-    mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
-    u^0 from the initial data, recovers w^0 from the algebraic constraint,
-    and integrates the remaining starts with BDF1 substeps.
+    Built once, it owns the assembled matrices, the mass weights and the
+    load evaluator. `stream` factorizes the step matrix and yields the time
+    levels one at a time.
     """
-    _check_order(k)
-    return _starting_values(_Operators(problem, mesh), tau, k, mode, 0.0)
+
+    def __init__(self, problem: ProblemSpec, mesh: Mesh2D, tau: float,
+                 scheme: BDFScheme):
+        self.problem, self.mesh, self.tau, self.scheme = problem, mesh, tau, scheme
+        self.M_bulk = assembly.assemble_bulk_mass(mesh)
+        self.M_surf = assembly.assemble_surface_mass(mesh)
+        self.M = self.M_bulk + self.M_surf
+        self.A = assembly.assemble_stiffness(mesh)
+        # 1^T M: mass and the potential part of the energy integrate against it
+        self.weights = np.asarray(self.M.sum(axis=0)).ravel()
+        self._forcings = ((problem.f1_bulk, problem.f1_surf),
+                          (problem.f2_bulk, problem.f2_surf))
+        self._forced = any(f is not zero_field for pair in self._forcings for f in pair)
+        self._zero = np.zeros(mesh.node_count)
+
+    def loads(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
+        # Forcing pairs live on (bulk, surface), so each load combines the
+        # bulk mass applied to the bulk part with the surface mass applied
+        # to the surface part. Zero forcings load nothing.
+        if not self._forced:
+            return self._zero, self._zero
+        b1, b2 = (
+            assembly.load_vector(self.M_bulk, assembly.nodal_interpolate(f_bulk, self.mesh, t))
+            + assembly.load_vector(self.M_surf, assembly.nodal_interpolate(f_surf, self.mesh, t))
+            for f_bulk, f_surf in self._forcings
+        )
+        return b1, b2
+
+    def mass(self, u: np.ndarray) -> float:
+        """The conserved scalar 1^T M u (bulk plus boundary content)."""
+        return float(self.weights @ u)
+
+    def energy(self, u: np.ndarray) -> float:
+        """Discrete Ginzburg-Landau energy (1/2) u^T A u + 1^T M W(u).
+
+        The potential is interpolated at the nodes before integration,
+        matching the assembly convention for nonlinear terms. A diverging
+        run overflows to inf here a step or two before the step kernel
+        aborts it, so overflow is not warned about.
+        """
+        W = self.problem.potential
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(0.5 * (u @ (self.A @ u)) + self.weights @ W(u))
+
+    def _advance(self, K: StepMatrix, scheme: BDFScheme,
+                 recent: Sequence[np.ndarray], n: int, t: float):
+        # bdf_step with this problem's loads at t; an abort names step n
+        b1, b2 = self.loads(t)
+        try:
+            return bdf_step(self.problem, scheme, K, self.M, recent, b1, b2)
+        except ValueError as exc:
+            raise RuntimeError(f"aborted at step {n} (t = {t}): {exc}") from exc
+
+    def starts(self, mode: str, t_start: float
+               ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The k starting pairs (u^j, w^j) at t_start + j tau, j = 0..k-1.
+
+        mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
+        u^0 from the initial data, recovers w^0 from the algebraic constraint,
+        and reaches the remaining starts with graded BDF1 substeps so the
+        starting segment itself is accurate to the method order.
+        """
+        problem, mesh, tau, k = self.problem, self.mesh, self.tau, self.scheme.k
+        if mode == "exact":
+            if not problem.has_exact_solution:
+                raise ValueError("start mode 'exact' needs exact solutions")
+            for j in range(k):
+                yield (
+                    assembly.nodal_interpolate(problem.exact_u, mesh, t_start + j * tau),
+                    assembly.nodal_interpolate(problem.exact_w, mesh, t_start + j * tau),
+                )
+            return
+        if mode != "bootstrap":
+            raise ValueError(f"start mode must be 'exact' or 'bootstrap', got {mode!r}")
+
+        # Second block equation at t_start: M w = A u + b2 (+ nonlinear term).
+        u = assembly.nodal_interpolate(problem.u0, mesh, t_start)
+        rhs = self.A @ u + self.loads(t_start)[1]
+        if problem.kind == "nonlinear":
+            rhs = rhs + assembly.nonlinearity_vector(self.M, problem.nonlinearity, u)
+        yield u, spla.splu(self.M.tocsc()).solve(rhs)
+        if k == 1:
+            return
+        m = _bootstrap_substeps(tau, k)
+        sub = tau / m
+        one = bdf_scheme(1)
+        K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub)
+        for j in range(1, k):
+            t = t_start + (j - 1) * tau
+            for s in range(1, m + 1):
+                u, w = self._advance(K1, one, [u], j, t + s * sub)
+            yield u, w
+
+    def stream(self, t_start: float, n_steps: int,
+               starts: Iterable[Tuple[np.ndarray, np.ndarray]]
+               ) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray]]:
+        """Yield (n, t, u, w) for n = 0..n_steps, holding only the k newest u.
+
+        `starts` supplies the first k pairs and n_steps comes from
+        `step_count`. The step matrix is factorized once the starting values
+        are done, after a bootstrap has released its own factorization.
+        """
+        recent: List[np.ndarray] = []  # newest first
+        for n, (u, w) in enumerate(starts):
+            recent.insert(0, u)
+            yield n, t_start + n * self.tau, u, w
+        K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau)
+        for n in range(self.scheme.k, n_steps + 1):
+            t = t_start + n * self.tau
+            u, w = self._advance(K, self.scheme, recent, n, t)
+            recent = [u] + recent[:-1]
+            yield n, t, u, w
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
@@ -256,58 +282,28 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
     """
     if scheme is None:
         scheme = bdf_scheme(3)
-    if not (tau > 0):
-        raise ValueError(f"tau must be positive, got {tau}")
-    span = T - t_start
-    n_steps = round(span / tau)
-    if n_steps < scheme.k - 1 or abs(n_steps * tau - span) > 1e-12 * max(1.0, abs(span)):
-        raise ValueError(f"tau={tau} does not divide the time span {span}")
-
-    ops = _Operators(problem, mesh)
+    n_steps = step_count(tau, T - t_start, scheme.k)
+    stepper = Stepper(problem, mesh, tau, scheme)
     if starting_pairs is not None:
         if len(starting_pairs) != scheme.k:
             raise ValueError(
                 f"need {scheme.k} starting pairs, got {len(starting_pairs)}"
             )
-        pairs = [(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
-                 for u, w in starting_pairs]
+        starts = [(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
+                  for u, w in starting_pairs]
     else:
         if start_mode == "auto":
             start_mode = "exact" if problem.has_exact_solution else "bootstrap"
-        pairs = _starting_values(ops, tau, scheme.k, start_mode, t_start)
+        starts = stepper.starts(start_mode, t_start)
 
-    K = build_step_matrix(ops.M, ops.A, scheme.delta[0] / tau)
-
-    u_hist = [u for u, _ in pairs]
-    w_hist = [w for _, w in pairs]
-    recent = list(reversed(u_hist))  # newest first for the step functions
-
-    nonlinear = problem.kind == "nonlinear"
-    for n in range(scheme.k, n_steps + 1):
-        t = t_start + n * tau
-        b1, b2 = ops.loads(t)
-        try:
-            if nonlinear:
-                u, w = step_nonlinear(scheme, K, ops.M, recent, b1, b2,
-                                      problem.nonlinearity)
-            else:
-                u, w = step_linear(scheme, K, ops.M, recent, b1, b2)
-        except ValueError as exc:
-            raise RuntimeError(f"aborted at step {n} (t = {t}): {exc}") from exc
-        if not np.isfinite(u).all():
-            raise RuntimeError(
-                f"non-finite solution at step {n} (t = {t}); the "
-                f"extrapolated scheme is likely outside its stability region"
-            )
+    times, u_hist, w_hist = [], [], []
+    for _, t, u, w in stepper.stream(t_start, n_steps, starts):
+        times.append(t)
         u_hist.append(u)
         w_hist.append(w)
-        recent.insert(0, u)
-        recent.pop()
-
-    times = t_start + tau * np.arange(n_steps + 1)
-    mass = np.array([ops.mass_of(u) for u in u_hist])
+    mass = np.array([stepper.mass(u) for u in u_hist])
     energy = None
     if problem.potential is not None:
-        energy = np.array([ops.energy_of(u) for u in u_hist])
-    return Trajectory(times=times, u_history=u_hist, w_history=w_hist,
+        energy = np.array([stepper.energy(u) for u in u_hist])
+    return Trajectory(times=np.array(times), u_history=u_hist, w_history=w_hist,
                       mass=mass, energy=energy)

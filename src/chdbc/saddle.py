@@ -27,8 +27,6 @@ class StepMatrix:
         self._lu = lu
         self.block_dim = block_dim
         self.delta0_over_tau = delta0_over_tau
-        # Observable proof that repeated solves never refactorize.
-        self.factorization_count = 1
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs reusing the stored factorization."""
@@ -65,8 +63,3 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix,
             f"stiffness matrix is likely invalid"
         ) from exc
     return StepMatrix(K, lu, n, float(delta0_over_tau))
-
-
-def solve(step_matrix: StepMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Functional alias for StepMatrix.solve."""
-    return step_matrix.solve(rhs)

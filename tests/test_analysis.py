@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chdbc import analysis, assembly
-from chdbc.analysis import eoc, final_error, gl_energy, h1_norm, l2_norm, total_mass
-from chdbc.integrator import Trajectory, bdf_scheme, run
+from chdbc.analysis import eoc, final_error, h1_norm, l2_norm
+from chdbc.integrator import Stepper, Trajectory, bdf_scheme, run
 from chdbc.mesh import boundary_length, bulk_area, generate_disk_mesh, import_mesh
 from chdbc.problems import evolution_problem, manufactured_linear
 
@@ -93,24 +93,24 @@ def test_eoc_validation():
 
 def test_total_mass_examples():
     mesh = generate_disk_mesh(40, 1.0)
-    M = assembly.assemble_mass(mesh)
+    stepper = Stepper(evolution_problem(), mesh, 0.01, bdf_scheme(1))
     n = mesh.node_count
-    assert total_mass(M, np.zeros(n)) == 0.0
-    assert total_mass(M, np.ones(n)) == pytest.approx(
+    assert stepper.mass(np.zeros(n)) == 0.0
+    assert stepper.mass(np.ones(n)) == pytest.approx(
         bulk_area(mesh) + boundary_length(mesh), rel=1e-12)
 
 
 def test_gl_energy_examples():
     mesh = generate_disk_mesh(40, 1.0)
-    M = assembly.assemble_mass(mesh)
     A = assembly.assemble_stiffness(mesh)
     n = mesh.node_count
-    W = lambda u: 10.0 * (u * u - 1.0) ** 2
-    assert gl_energy(A, M, W, np.ones(n)) == pytest.approx(0.0, abs=1e-10)
-    assert gl_energy(A, M, W, np.zeros(n)) == pytest.approx(
+    # W(u) = 10 (u^2 - 1)^2
+    stepper = Stepper(evolution_problem(strength=10.0), mesh, 0.01, bdf_scheme(1))
+    assert stepper.energy(np.ones(n)) == pytest.approx(0.0, abs=1e-10)
+    assert stepper.energy(np.zeros(n)) == pytest.approx(
         10.0 * (bulk_area(mesh) + boundary_length(mesh)), rel=1e-12)
     pm = evolution_problem(seed=3).u0(mesh.nodes[:, 0], mesh.nodes[:, 1], 0.0)
-    e = gl_energy(A, M, W, pm)
+    e = stepper.energy(pm)
     assert e > 0.0
     assert e == pytest.approx(0.5 * float(pm @ (A @ pm)), rel=1e-12)
 
@@ -173,10 +173,7 @@ def test_gl_energy_nonincreasing_along_resolved_evolution_run():
     problem = evolution_problem(strength=10.0, seed=7)
     mesh = generate_disk_mesh(160, 1.0)
     traj = run(problem, mesh, 1e-5, 200e-5, bdf_scheme(1), start_mode="bootstrap")
-    M = assembly.assemble_mass(mesh)
-    A = assembly.assemble_stiffness(mesh)
-    energies = np.array([gl_energy(A, M, problem.potential, u)
-                         for u in traj.u_history])
+    energies = traj.energy
     diffs = np.diff(energies[5:])
     assert (diffs <= 1e-10).all()
     assert energies[-1] < energies[0]

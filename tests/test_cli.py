@@ -1,11 +1,14 @@
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chdbc.cli import main
-from chdbc.mesh import import_mesh, validate_mesh
+from chdbc.cli import _csv, main
+from chdbc.integrator import bdf_scheme, run
+from chdbc.mesh import generate_disk_mesh, import_mesh, validate_mesh
+from chdbc.problems import evolution_problem
 
 
 def read(path):
@@ -146,6 +149,24 @@ def test_convergence_rejects_non_dividing_tau(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["evolve", "--nodes", "40", "--radius", "1", "--k", "3", "--tau", "0.01",
+     "--T", "0.01", "--snapshots", "0"],
+    ["convergence", "--problem", "linear", "--k", "3", "--tau", "0.5",
+     "--T", "0.5"],
+])
+def test_too_few_steps_for_the_order_is_a_usage_error(tmp_path, capsys, command):
+    # tau divides T; the run is one step short of BDF3's starting values
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "gives 1 step(s)" in err and "BDF3 needs at least 2" in err
+    assert "divide" not in err
+    assert not out.exists()
+
+
 def test_convergence_rejects_out_of_range_refinement(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--problem", "linear", "--refinements", "9",
@@ -184,3 +205,40 @@ def test_runtime_failure_returns_one_and_removes_partial_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err
     assert not (out / "diagnostics.csv").exists()
+
+
+def test_streamed_evolve_csvs_equal_those_rendered_from_run(tmp_path):
+    # k=2 bootstrap: the BDF1 substeps and the main loop both feed the files
+    out = tmp_path / "evo"
+    rc = main(["evolve", "--nodes", "160", "--radius", "1", "--k", "2",
+               "--tau", "1e-05", "--T", "0.0002", "--seed", "3",
+               "--snapshots", "0,1e-05,0.0002", "--out", str(out)])
+    assert rc == 0
+    mesh = generate_disk_mesh(160, 1.0)
+    traj = run(evolution_problem(seed=3), mesh, 1e-5, 2e-4, bdf_scheme(2),
+               start_mode="bootstrap")
+    for t, idx in ((0.0, 0), (1e-5, 1), (2e-4, 20)):
+        rows = [["x", "y", "u"]]
+        rows += [[float(x), float(y), float(v)]
+                 for (x, y), v in zip(mesh.nodes, traj.u_history[idx])]
+        assert read(out / f"snapshot_t{t:g}.csv") == _csv(rows).encode()
+    rows = [["t", "mass", "energy"]]
+    rows += [[float(t), float(q), float(e)]
+             for t, q, e in zip(traj.times, traj.mass, traj.energy)]
+    assert read(out / "diagnostics.csv") == _csv(rows).encode()
+
+
+def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path):
+    # 200 against 800 steps at 640 nodes. Storing every u and w would add
+    # 2 N doubles per step, about 6 MB over the 600 extra steps; the
+    # diagnostics rows of those steps take about 0.2 MB.
+    peaks = []
+    for T in ("0.25", "1.0"):
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--nodes", "640", "--T", T, "--snapshots",
+                         "0", "--out", str(tmp_path / T)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chdbc import analysis, assembly, integrator, problems
-from chdbc.integrator import (
-    bdf_scheme,
-    run,
-    starting_values,
-    step_linear,
-    step_nonlinear,
-)
+from chdbc import analysis, assembly, integrator
+from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run
 from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import ProblemSpec, evolution_problem, manufactured_linear
 from chdbc.saddle import build_step_matrix
@@ -30,6 +24,12 @@ BOUNDARY_EDGES 3
 2 0
 """
 
+LINEAR = ProblemSpec(kind="linear")
+
+
+def _nonlinear(F):
+    return ProblemSpec(kind="nonlinear", nonlinearity=F)
+
 
 def _scalar_system(m, a, ratio):
     return build_step_matrix(sp.csr_matrix(np.array([[m]])),
@@ -41,8 +41,8 @@ def test_backward_euler_scalar_decay():
     tau, u0 = 0.1, 0.7
     K = _scalar_system(1.0, 1.0, 1.0 / tau)
     M = sp.csr_matrix(np.array([[1.0]]))
-    u1, w1 = step_linear(bdf_scheme(1), K, M, [np.array([u0])],
-                         np.zeros(1), np.zeros(1))
+    u1, w1 = bdf_step(LINEAR, bdf_scheme(1), K, M, [np.array([u0])],
+                      np.zeros(1), np.zeros(1))
     assert u1[0] == pytest.approx(u0 / (1 + tau), rel=1e-14)
     assert w1[0] == pytest.approx(u1[0], rel=1e-14)
 
@@ -50,8 +50,8 @@ def test_backward_euler_scalar_decay():
 def test_zero_history_zero_forcing_stays_zero():
     K = _scalar_system(1.0, 1.0, 10.0)
     M = sp.csr_matrix(np.array([[1.0]]))
-    u1, w1 = step_linear(bdf_scheme(1), K, M, [np.zeros(1)],
-                         np.zeros(1), np.zeros(1))
+    u1, w1 = bdf_step(LINEAR, bdf_scheme(1), K, M, [np.zeros(1)],
+                      np.zeros(1), np.zeros(1))
     assert u1[0] == 0.0 and w1[0] == 0.0
 
 
@@ -65,8 +65,10 @@ def test_nonlinear_step_with_zero_map_bit_matches_linear():
     hist = [rng.standard_normal(mesh.node_count) for _ in range(3)]
     b1 = rng.standard_normal(mesh.node_count)
     b2 = rng.standard_normal(mesh.node_count)
-    u_lin, w_lin = step_linear(scheme, K, M, hist, b1, b2)
-    u_non, w_non = step_nonlinear(scheme, K, M, hist, b1, b2, problems.zero_map)
+    u_lin, w_lin = bdf_step(LINEAR, scheme, K, M, hist, b1, b2)
+    # a nonlinear problem may not use problems.zero_map itself
+    u_non, w_non = bdf_step(_nonlinear(lambda u: 0.0 * u), scheme, K, M,
+                            hist, b1, b2)
     np.testing.assert_array_equal(u_lin, u_non)
     np.testing.assert_array_equal(w_lin, w_non)
 
@@ -82,8 +84,8 @@ def test_constant_history_kills_double_well_term():
     b1 = np.zeros(mesh.node_count)
     b2 = np.zeros(mesh.node_count)
     F = lambda u: u ** 3 - u  # extrapolant is 1 (sum gamma = 1), F(1) = 0
-    u_non, _ = step_nonlinear(scheme, K, M, hist, b1, b2, F)
-    u_lin, _ = step_linear(scheme, K, M, hist, b1, b2)
+    u_non, _ = bdf_step(_nonlinear(F), scheme, K, M, hist, b1, b2)
+    u_lin, _ = bdf_step(LINEAR, scheme, K, M, hist, b1, b2)
     np.testing.assert_array_equal(u_non, u_lin)
 
 
@@ -92,8 +94,8 @@ def test_linearly_implicit_scalar_quadratic_hand_solve():
     tau, u0 = 0.1, 0.7
     K = _scalar_system(1.0, 1.0, 1.0 / tau)
     M = sp.csr_matrix(np.array([[1.0]]))
-    u1, _ = step_nonlinear(bdf_scheme(1), K, M, [np.array([u0])],
-                           np.zeros(1), np.zeros(1), lambda u: u * u)
+    u1, _ = bdf_step(_nonlinear(lambda u: u * u), bdf_scheme(1), K, M,
+                     [np.array([u0])], np.zeros(1), np.zeros(1))
     assert u1[0] == pytest.approx((u0 - tau * u0 ** 2) / (1 + tau), rel=1e-14)
 
 
@@ -101,15 +103,18 @@ def test_step_requires_exact_history_length():
     K = _scalar_system(1.0, 1.0, 1.0)
     M = sp.csr_matrix(np.array([[1.0]]))
     with pytest.raises(ValueError, match="history"):
-        step_linear(bdf_scheme(2), K, M, [np.zeros(1)], np.zeros(1), np.zeros(1))
+        bdf_step(LINEAR, bdf_scheme(2), K, M, [np.zeros(1)], np.zeros(1),
+                 np.zeros(1))
 
 
 def test_exact_starting_values_sample_the_solution():
     mesh = import_mesh(MESH_WITH_CENTER_NODE)
     tau, k = 0.0025, 3
-    pairs = starting_values(manufactured_linear(), mesh, tau, k, "exact")
-    assert len(pairs) == k
-    for j, (u, w) in enumerate(pairs):
+    # (k - 1) steps: the run holds the k exact starts and nothing else
+    traj = run(manufactured_linear(), mesh, tau, (k - 1) * tau, bdf_scheme(k),
+               start_mode="exact")
+    assert len(traj.u_history) == k
+    for j, (u, w) in enumerate(zip(traj.u_history, traj.w_history)):
         assert u[2] == pytest.approx(0.25 * math.exp(-j * tau), rel=1e-14)
         np.testing.assert_array_equal(u, w)
 
@@ -117,17 +122,19 @@ def test_exact_starting_values_sample_the_solution():
 def test_exact_mode_requires_exact_solution():
     mesh = generate_disk_mesh(20, 1.0)
     with pytest.raises(ValueError, match="exact"):
-        starting_values(evolution_problem(), mesh, 0.01, 2, "exact")
+        run(evolution_problem(), mesh, 0.01, 0.02, bdf_scheme(2),
+            start_mode="exact")
     with pytest.raises(ValueError, match="mode"):
-        starting_values(manufactured_linear(), mesh, 0.01, 2, "midpoint")
+        run(manufactured_linear(), mesh, 0.01, 0.02, bdf_scheme(2),
+            start_mode="midpoint")
 
 
 def test_bootstrap_k1_is_initial_data_with_recovered_w():
     mesh = generate_disk_mesh(40, 1.0)
     problem = evolution_problem(seed=5)
-    pairs = starting_values(problem, mesh, 0.01, 1, "bootstrap")
-    assert len(pairs) == 1
-    u0, w0 = pairs[0]
+    stepper = Stepper(problem, mesh, 0.01, bdf_scheme(1))
+    n, t, u0, w0 = next(stepper.stream(0.0, 1, stepper.starts("bootstrap", 0.0)))
+    assert (n, t) == (0, 0.0)
     assert set(np.unique(u0)) <= {-1.0, 1.0}
     # w0 solves the algebraic constraint M w = A u + F(u)-term
     M = assembly.assemble_mass(mesh)
@@ -239,6 +246,13 @@ def test_run_rejects_non_dividing_tau():
     with pytest.raises(ValueError, match="divide"):
         run(manufactured_linear(), generate_disk_mesh(20, 1.0), 0.3, 1.0,
             bdf_scheme(1))
+
+
+def test_run_names_order_and_step_count_when_the_span_is_too_short():
+    # tau divides T, but BDF3 needs two steps to hold its starting values
+    with pytest.raises(ValueError, match=r"gives 1 step\(s\).*BDF3 needs at least 2"):
+        run(manufactured_linear(), generate_disk_mesh(20, 1.0), 0.5, 0.5,
+            bdf_scheme(3))
 
 
 def test_run_aborts_with_step_index_on_blowup():

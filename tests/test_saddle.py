@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chdbc import integrator
 from chdbc.assembly import assemble_mass, assemble_stiffness
 from chdbc.mesh import generate_disk_mesh
-from chdbc.saddle import build_step_matrix, solve
+from chdbc.problems import manufactured_linear
+from chdbc.saddle import build_step_matrix
 
 
 def _one_by_one(m, a, ratio):
@@ -25,9 +27,6 @@ def test_scalar_solves():
     np.testing.assert_allclose(K.solve(np.array([2.0, 0.0])), [1.0, 1.0],
                                atol=1e-15)
     np.testing.assert_array_equal(K.solve(np.zeros(2)), np.zeros(2))
-    # functional alias
-    np.testing.assert_allclose(solve(K, np.array([2.0, 0.0])), [1.0, 1.0],
-                               atol=1e-15)
 
 
 def test_matches_dense_solve_on_small_mesh():
@@ -64,14 +63,25 @@ def test_solve_residual_bound_on_random_rhs():
     assert np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max() <= 1e-10
 
 
-def test_factorization_happens_once():
+def test_factorization_happens_once(monkeypatch):
+    # run() factorizes as often for 40 steps as for 4: once for the main
+    # loop, plus once for the BDF1 substeps of a k > 1 bootstrap
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_step_matrix(*args)
+
+    monkeypatch.setattr(integrator, "build_step_matrix", counting)
     mesh = generate_disk_mesh(40, 1.0)
-    K = build_step_matrix(assemble_mass(mesh), assemble_stiffness(mesh), 100.0)
-    assert K.factorization_count == 1
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        K.solve(rng.standard_normal(2 * mesh.node_count))
-    assert K.factorization_count == 1
+    for k, start_mode, expected in ((1, "exact", 1), (3, "bootstrap", 2)):
+        counts = []
+        for n_steps in (4, 40):
+            calls.clear()
+            integrator.run(manufactured_linear(), mesh, 0.01, n_steps * 0.01,
+                           integrator.bdf_scheme(k), start_mode=start_mode)
+            counts.append(len(calls))
+        assert counts == [expected, expected]
 
 
 def test_rejects_bad_inputs():
