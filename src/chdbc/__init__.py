@@ -44,7 +44,7 @@ from .problems import (
     problem_by_name,
     verify_manufactured,
 )
-from .saddle import StepMatrix, build_step_matrix
+from .saddle import StepMatrix, build_step_matrix, nested_dissection_order
 
 __version__ = "0.1.0"
 
@@ -82,6 +82,7 @@ __all__ = [
     "manufactured_linear",
     "manufactured_nonlinear",
     "mesh_size",
+    "nested_dissection_order",
     "nodal_interpolate",
     "nonlinearity_vector",
     "problem_by_name",

@@ -16,12 +16,13 @@ from math import ceil, comb
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
 
 from . import assembly
 from .mesh import Mesh2D
 from .problems import ProblemSpec, zero_field
-from .saddle import StepMatrix, build_step_matrix
+from .saddle import (StepMatrix, build_step_matrix, nested_dissection_order,
+                     solve_ordered)
 
 MAX_ORDER = 6
 BOOTSTRAP_SUBSTEP_CAP = 1000
@@ -78,12 +79,18 @@ def bdf_scheme(k: int) -> BDFScheme:
 
 @dataclass
 class Trajectory:
-    """Time-indexed nodal solution vectors plus per-step diagnostics."""
+    """Time-indexed nodal solution vectors plus per-step diagnostics.
+
+    M and A are the run's mass (bulk plus surface) and stiffness matrices,
+    which the error norms reuse.
+    """
 
     times: np.ndarray
     u_history: List[np.ndarray]
     w_history: List[np.ndarray]
     mass: np.ndarray
+    M: sp.spmatrix
+    A: sp.spmatrix
     energy: Optional[np.ndarray] = None
 
     @property
@@ -150,9 +157,9 @@ def _bootstrap_substeps(tau: float, k: int) -> int:
 class Stepper:
     """One problem on one mesh with one step size and scheme.
 
-    Built once, it owns the assembled matrices, the mass weights and the
-    load evaluator. `stream` factorizes the step matrix and yields the time
-    levels one at a time.
+    Built once, it owns the assembled matrices, the mass weights, the load
+    evaluator and the node order every factorization eliminates in. `stream`
+    factorizes the step matrix and yields the time levels one at a time.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh2D, tau: float,
@@ -164,6 +171,7 @@ class Stepper:
         self.A = assembly.assemble_stiffness(mesh)
         # 1^T M: mass and the potential part of the energy integrate against it
         self.weights = np.asarray(self.M.sum(axis=0)).ravel()
+        self.order = nested_dissection_order(mesh.nodes, self.M)
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))
         self._forced = any(f is not zero_field for pair in self._forcings for f in pair)
@@ -234,13 +242,13 @@ class Stepper:
         rhs = self.A @ u + self.loads(t_start)[1]
         if problem.kind == "nonlinear":
             rhs = rhs + assembly.nonlinearity_vector(self.M, problem.nonlinearity, u)
-        yield u, spla.splu(self.M.tocsc()).solve(rhs)
+        yield u, solve_ordered(self.M, self.order, rhs)
         if k == 1:
             return
         m = _bootstrap_substeps(tau, k)
         sub = tau / m
         one = bdf_scheme(1)
-        K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub)
+        K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub, self.order)
         for j in range(1, k):
             t = t_start + (j - 1) * tau
             for s in range(1, m + 1):
@@ -260,7 +268,8 @@ class Stepper:
         for n, (u, w) in enumerate(starts):
             recent.insert(0, u)
             yield n, t_start + n * self.tau, u, w
-        K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau)
+        K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,
+                              self.order)
         for n in range(self.scheme.k, n_steps + 1):
             t = t_start + n * self.tau
             u, w = self._advance(K, self.scheme, recent, n, t)
@@ -306,4 +315,4 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
     if problem.potential is not None:
         energy = np.array([stepper.energy(u) for u in u_hist])
     return Trajectory(times=np.array(times), u_history=u_hist, w_history=w_hist,
-                      mass=mass, energy=energy)
+                      mass=mass, M=stepper.M, A=stepper.A, energy=energy)

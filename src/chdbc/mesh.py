@@ -123,20 +123,22 @@ def validate_mesh(mesh: Mesh2D) -> None:
         )
 
     # Undirected edge incidence: boundary edges belong to exactly one
-    # triangle, interior edges to exactly two.
-    counts: dict = {}
+    # triangle, interior edges to exactly two. An edge is keyed by its
+    # sorted node pair, lo * n + hi.
+    def edge_keys(pairs):
+        pairs = np.sort(pairs, axis=1)
+        return pairs[:, 0] * n + pairs[:, 1]
+
     tris = mesh.triangles
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        for i, j in zip(tris[:, a], tris[:, b]):
-            key = (min(i, j), max(i, j))
-            counts[key] = counts.get(key, 0) + 1
-    if any(c > 2 for c in counts.values()):
+    keys, counts = np.unique(
+        edge_keys(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])),
+        return_counts=True)
+    if counts.max() > 2:
         raise ValueError("an edge is shared by more than two triangles")
-    exposed = {e for e, c in counts.items() if c == 1}
-    declared = {(min(i, j), max(i, j)) for i, j in mesh.boundary_edges}
+    declared = np.unique(edge_keys(mesh.boundary_edges))
     if len(declared) != len(mesh.boundary_edges):
         raise ValueError("duplicate boundary edge")
-    if declared != exposed:
+    if not np.array_equal(declared, keys[counts == 1]):
         raise ValueError(
             "boundary_edges do not match the triangulation's exposed edges"
         )

@@ -9,22 +9,115 @@ so the sparse LU factorization is computed once at build time and reused for
 the whole trajectory. Nonsingularity for any tau > 0 follows from M being
 positive definite and A positive semidefinite: a kernel vector (x, y) would
 satisfy y^T M y + (delta0/tau) x^T M x = 0.
+
+The factorization eliminates the unknowns in a geometric nested-dissection
+order of the mesh nodes (George 1973; Lipton, Rose and Tarjan 1979), with
+the u and w unknowns of each node next to each other. SuperLU keeps that
+order and pivots on the diagonal unless a diagonal entry falls below
+PIVOT_THRESHOLD times the largest entry of its column. Diagonal pivoting is
+safe because the symmetric part of the step matrix, blockdiag((delta0/tau)
+M, M), is positive definite; the threshold keeps the solve accurate when
+delta0/tau is so small or so large that one diagonal block is tiny next to
+A.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+LEAF_SIZE = 32
+PIVOT_THRESHOLD = 0.1
+
+
+def _edges(M: sp.spmatrix):
+    """Node pairs (i < j) of the off-diagonal pattern of M: the mesh edges."""
+    upper = sp.triu(M, k=1).tocoo()
+    return upper.row.astype(np.int64), upper.col.astype(np.int64)
+
+
+def _bisect(nodes: np.ndarray, idx: np.ndarray, ei: np.ndarray,
+            ej: np.ndarray, side: np.ndarray):
+    """Split node set idx (edges ei-ej inside it) at the coordinate median.
+
+    Returns (lower, upper, separator, lower edges, upper edges): the
+    separator is the lower-side nodes with an upper-side neighbour, so no
+    edge joins what is left of the lower side to the upper side. `side` is
+    a work array over all nodes.
+    """
+    xy = nodes[idx]
+    axis = int(np.argmax(xy.max(axis=0) - xy.min(axis=0)))
+    half = len(idx) // 2
+    part = np.argpartition(xy[:, axis], half)
+    side[idx[part[:half]]] = 0
+    side[idx[part[half:]]] = 1
+    cross = side[ei] != side[ej]
+    side[np.where(side[ei[cross]] == 0, ei[cross], ej[cross])] = 2
+    si, sj = side[ei], side[ej]
+    low, up = (si == 0) & (sj == 0), (si == 1) & (sj == 1)
+    s = side[idx]
+    return (idx[s == 0], idx[s == 1], idx[s == 2],
+            (ei[low], ej[low]), (ei[up], ej[up]))
+
+
+def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
+    """Node elimination order: halves first, each separator after its halves.
+
+    Bisects recursively until a part holds at most LEAF_SIZE nodes; the
+    neighbours come from the off-diagonal pattern of M.
+    """
+    n = M.shape[0]
+    side = np.empty(n, dtype=np.int8)
+    blocks: List[np.ndarray] = []
+
+    def dissect(idx, edges):
+        if len(idx) <= LEAF_SIZE:
+            blocks.append(idx)
+            return
+        lower, upper, sep, low_edges, up_edges = _bisect(nodes, idx, *edges, side)
+        dissect(lower, low_edges)
+        dissect(upper, up_edges)
+        blocks.append(sep)
+
+    dissect(np.arange(n), _edges(M))
+    return np.concatenate(blocks)
+
+
+def _splu(matrix: sp.spmatrix):
+    # The matrix arrives in elimination order; keep it and pivot as above
+    return spla.splu(sp.csc_matrix(matrix), permc_spec="NATURAL",
+                     diag_pivot_thresh=PIVOT_THRESHOLD,
+                     options={"SymmetricMode": True})
+
+
+def _permuted_solve(lu, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    x = np.empty_like(rhs)
+    x[perm] = lu.solve(rhs[perm])
+    return x
+
+
+def solve_ordered(matrix: sp.spmatrix, order: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """One solve with a square matrix, factorized in the given node order."""
+    lu = _splu(sp.csr_matrix(matrix)[order][:, order])
+    return _permuted_solve(lu, order, np.asarray(rhs, dtype=float))
+
 
 class StepMatrix:
-    """Assembled block matrix plus its sparse LU handle. Immutable after build."""
+    """Assembled block matrix plus its sparse LU handle. Immutable after build.
 
-    def __init__(self, matrix: sp.csc_matrix, lu, block_dim: int,
-                 delta0_over_tau: float):
+    `matrix` is K in the blocked (u, w) numbering; `_lu` factorizes K with
+    rows and columns taken in the order `_perm`.
+    """
+
+    def __init__(self, matrix: sp.csc_matrix, lu, perm: np.ndarray,
+                 block_dim: int, delta0_over_tau: float):
         self.matrix = matrix
         self._lu = lu
+        self._perm = perm
         self.block_dim = block_dim
         self.delta0_over_tau = delta0_over_tau
 
@@ -38,15 +131,17 @@ class StepMatrix:
             )
         if not np.isfinite(rhs).all():
             raise ValueError("rhs contains non-finite entries")
-        return self._lu.solve(rhs)
+        return _permuted_solve(self._lu, self._perm, rhs)
 
 
-def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix,
-                      delta0_over_tau: float) -> StepMatrix:
+def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
+                      order: np.ndarray) -> StepMatrix:
     """Assemble and eagerly factorize the step matrix.
 
     Unknown ordering is blocked: the u coefficients come first, the w
-    coefficients second.
+    coefficients second. The factorization eliminates the nodes in `order`
+    (from `nested_dissection_order`), the u and w unknowns of each node
+    next to each other.
     """
     if M.shape != A.shape or M.shape[0] != M.shape[1]:
         raise ValueError(f"M and A must be square and equal-sized, "
@@ -55,11 +150,12 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix,
         raise ValueError(f"delta0/tau must be positive, got {delta0_over_tau}")
     n = M.shape[0]
     K = sp.bmat([[delta0_over_tau * M, A], [-A, M]], format="csc")
+    perm = np.column_stack([order, order + n]).ravel()
     try:
-        lu = spla.splu(K)
+        lu = _splu(K[perm][:, perm])
     except RuntimeError as exc:
         raise RuntimeError(
             f"step matrix factorization failed ({exc}); the mass or "
             f"stiffness matrix is likely invalid"
         ) from exc
-    return StepMatrix(K, lu, n, float(delta0_over_tau))
+    return StepMatrix(K, lu, perm, n, float(delta0_over_tau))

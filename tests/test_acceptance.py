@@ -23,7 +23,7 @@ from chdbc.problems import (
     manufactured_nonlinear,
     verify_manufactured,
 )
-from chdbc.saddle import build_step_matrix
+from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 SWEEP_TAU = 0.0025
 SWEEP_REFINEMENTS = (1, 2, 3, 4, 5)
@@ -231,9 +231,10 @@ def test_criterion_7_oracle_equivalence():
     a_hand_err = np.abs(A - A_hand).max()
 
     mesh = generate_disk_mesh(20, 1.0)
-    K = build_step_matrix(assembly.assemble_mass(mesh),
-                          assembly.assemble_stiffness(mesh),
-                          bdf_scheme(3).delta[0] / SWEEP_TAU)
+    M_mesh = assembly.assemble_mass(mesh)
+    K = build_step_matrix(M_mesh, assembly.assemble_stiffness(mesh),
+                          bdf_scheme(3).delta[0] / SWEEP_TAU,
+                          nested_dissection_order(mesh.nodes, M_mesh))
     dense = K.matrix.toarray()
     rng = np.random.default_rng(123)
     solve_err = 0.0

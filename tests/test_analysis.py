@@ -122,7 +122,8 @@ def test_final_error_zero_for_interpolated_exact_solution():
     uh = [assembly.nodal_interpolate(problem.exact_u, mesh, t) for t in times]
     wh = [assembly.nodal_interpolate(problem.exact_w, mesh, t) for t in times]
     traj = Trajectory(times=times, u_history=uh, w_history=wh,
-                      mass=np.zeros(3))
+                      mass=np.zeros(3), M=assembly.assemble_mass(mesh),
+                      A=assembly.assemble_stiffness(mesh))
     report = final_error(traj, problem, mesh)
     assert report.err_L2 == 0.0 and report.err_H1 == 0.0
     assert report.err_w_L2 == 0.0 and report.err_w_H1 == 0.0
@@ -135,7 +136,8 @@ def test_final_error_requires_exact_solution():
     traj = Trajectory(times=np.array([0.0]),
                       u_history=[np.zeros(mesh.node_count)],
                       w_history=[np.zeros(mesh.node_count)],
-                      mass=np.zeros(1))
+                      mass=np.zeros(1), M=assembly.assemble_mass(mesh),
+                      A=assembly.assemble_stiffness(mesh))
     with pytest.raises(ValueError, match="exact"):
         final_error(traj, evolution_problem(), mesh)
 

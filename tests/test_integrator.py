@@ -8,7 +8,7 @@ from chdbc import analysis, assembly, integrator
 from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run
 from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import ProblemSpec, evolution_problem, manufactured_linear
-from chdbc.saddle import build_step_matrix
+from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 MESH_WITH_CENTER_NODE = """\
 MESH v1
@@ -33,7 +33,7 @@ def _nonlinear(F):
 
 def _scalar_system(m, a, ratio):
     return build_step_matrix(sp.csr_matrix(np.array([[m]])),
-                             sp.csr_matrix(np.array([[a]])), ratio)
+                             sp.csr_matrix(np.array([[a]])), ratio, np.arange(1))
 
 
 def test_backward_euler_scalar_decay():
@@ -60,7 +60,8 @@ def test_nonlinear_step_with_zero_map_bit_matches_linear():
     M = assembly.assemble_mass(mesh)
     A = assembly.assemble_stiffness(mesh)
     scheme = bdf_scheme(3)
-    K = build_step_matrix(M, A, scheme.delta[0] / 0.01)
+    K = build_step_matrix(M, A, scheme.delta[0] / 0.01,
+                          nested_dissection_order(mesh.nodes, M))
     rng = np.random.default_rng(1)
     hist = [rng.standard_normal(mesh.node_count) for _ in range(3)]
     b1 = rng.standard_normal(mesh.node_count)
@@ -78,7 +79,8 @@ def test_constant_history_kills_double_well_term():
     M = assembly.assemble_mass(mesh)
     A = assembly.assemble_stiffness(mesh)
     scheme = bdf_scheme(3)
-    K = build_step_matrix(M, A, scheme.delta[0] / 0.01)
+    K = build_step_matrix(M, A, scheme.delta[0] / 0.01,
+                          nested_dissection_order(mesh.nodes, M))
     ones = np.ones(mesh.node_count)
     hist = [ones, ones, ones]
     b1 = np.zeros(mesh.node_count)

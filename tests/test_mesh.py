@@ -206,3 +206,38 @@ def test_triangles_are_counterclockwise():
     areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                    - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
     assert (areas > 0).all()
+
+
+def _disk_variant(triangles=None, boundary_edges=None):
+    m = generate_disk_mesh(80, 1.0)
+    return Mesh2D(nodes=m.nodes,
+                  triangles=m.triangles if triangles is None else triangles,
+                  boundary_edges=(m.boundary_edges if boundary_edges is None
+                                  else boundary_edges),
+                  radius=1.0)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("triangle twice", "shared by more than two triangles"),
+    ("boundary edge twice", "duplicate boundary edge"),
+    ("both twice", "shared by more than two triangles"),
+    ("boundary edge missing", "do not match the triangulation's exposed edges"),
+    ("interior edge declared", "do not match the triangulation's exposed edges"),
+])
+def test_validate_edge_incidence_errors_in_check_order(case, message):
+    m = generate_disk_mesh(80, 1.0)
+    tris, edges = m.triangles, m.boundary_edges
+    twice_tri = np.vstack([tris, tris[:1]])
+    twice_edge = np.vstack([edges, edges[:1]])
+    broken = {
+        "triangle twice": _disk_variant(triangles=twice_tri),
+        "boundary edge twice": _disk_variant(boundary_edges=twice_edge),
+        "both twice": _disk_variant(triangles=twice_tri, boundary_edges=twice_edge),
+        "boundary edge missing": _disk_variant(boundary_edges=edges[1:]),
+        # edge 0-1 of the first fan triangle is interior
+        "interior edge declared": _disk_variant(
+            boundary_edges=np.vstack([edges[1:], tris[:1, :2]])),
+    }[case]
+    validate_mesh(m)
+    with pytest.raises(ValueError, match=message):
+        validate_mesh(broken)

@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from chdbc import integrator
+from chdbc import integrator, saddle
 from chdbc.assembly import assemble_mass, assemble_stiffness
 from chdbc.mesh import generate_disk_mesh
 from chdbc.problems import manufactured_linear
-from chdbc.saddle import build_step_matrix
+from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 
 def _one_by_one(m, a, ratio):
     return build_step_matrix(sp.csr_matrix(np.array([[m]])),
-                             sp.csr_matrix(np.array([[a]])), ratio)
+                             sp.csr_matrix(np.array([[a]])), ratio, np.arange(1))
+
+
+def _disk_step_matrix(mesh, ratio):
+    M = assemble_mass(mesh)
+    return build_step_matrix(M, assemble_stiffness(mesh), ratio,
+                             nested_dissection_order(mesh.nodes, M))
 
 
 def test_scalar_block_layouts():
@@ -31,8 +38,7 @@ def test_scalar_solves():
 
 def test_matches_dense_solve_on_small_mesh():
     mesh = generate_disk_mesh(20, 1.0)
-    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
-    K = build_step_matrix(M, A, 1.0 / 0.0025)
+    K = _disk_step_matrix(mesh, 1.0 / 0.0025)
     dense = K.matrix.toarray()
     assert np.linalg.det(dense) != 0
     rng = np.random.default_rng(11)
@@ -45,9 +51,8 @@ def test_matches_dense_solve_on_small_mesh():
 @pytest.mark.parametrize("tau", [0.025, 0.0125, 0.005, 0.0025])
 def test_nonsingular_for_experiment_step_sizes(tau):
     mesh = generate_disk_mesh(40, 1.0)
-    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
     delta0 = 11.0 / 6.0
-    K = build_step_matrix(M, A, delta0 / tau)
+    K = _disk_step_matrix(mesh, delta0 / tau)
     rhs = np.ones(2 * mesh.node_count)
     x = K.solve(rhs)
     residual = np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max()
@@ -56,7 +61,7 @@ def test_nonsingular_for_experiment_step_sizes(tau):
 
 def test_solve_residual_bound_on_random_rhs():
     mesh = generate_disk_mesh(80, 1.0)
-    K = build_step_matrix(assemble_mass(mesh), assemble_stiffness(mesh), 400.0)
+    K = _disk_step_matrix(mesh, 400.0)
     rng = np.random.default_rng(2)
     rhs = rng.standard_normal(2 * mesh.node_count)
     x = K.solve(rhs)
@@ -87,11 +92,12 @@ def test_factorization_happens_once(monkeypatch):
 def test_rejects_bad_inputs():
     mesh = generate_disk_mesh(20, 1.0)
     M, A = assemble_mass(mesh), assemble_stiffness(mesh)
+    order = nested_dissection_order(mesh.nodes, M)
     with pytest.raises(ValueError):
-        build_step_matrix(M, A, 0.0)
+        build_step_matrix(M, A, 0.0, order)
     with pytest.raises(ValueError):
-        build_step_matrix(M, sp.identity(3, format="csr"), 1.0)
-    K = build_step_matrix(M, A, 1.0)
+        build_step_matrix(M, sp.identity(3, format="csr"), 1.0, order)
+    K = build_step_matrix(M, A, 1.0, order)
     bad = np.zeros(2 * mesh.node_count)
     bad[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -102,7 +108,7 @@ def test_rejects_bad_inputs():
 
 def test_concurrent_style_solves_do_not_interfere():
     mesh = generate_disk_mesh(20, 1.0)
-    K = build_step_matrix(assemble_mass(mesh), assemble_stiffness(mesh), 50.0)
+    K = _disk_step_matrix(mesh, 50.0)
     rng = np.random.default_rng(0)
     rhs_a = rng.standard_normal(2 * mesh.node_count)
     rhs_b = rng.standard_normal(2 * mesh.node_count)
@@ -111,3 +117,45 @@ def test_concurrent_style_solves_do_not_interfere():
     xa2 = K.solve(rhs_a)
     np.testing.assert_array_equal(xa1, xa2)
     assert not np.array_equal(xa1, xb)
+
+
+@pytest.mark.parametrize("nodes", [20, 320, 2560])
+def test_nested_dissection_order_is_a_permutation(nodes):
+    mesh = generate_disk_mesh(nodes, 1.0)
+    order = nested_dissection_order(mesh.nodes, assemble_mass(mesh))
+    np.testing.assert_array_equal(np.sort(order), np.arange(mesh.node_count))
+
+
+def test_no_edge_joins_the_halves_of_the_top_level_split():
+    mesh = generate_disk_mesh(2560, 1.0)
+    M = assemble_mass(mesh)
+    n = mesh.node_count
+    lower, upper, sep, _, _ = saddle._bisect(
+        mesh.nodes, np.arange(n), *saddle._edges(M), np.empty(n, dtype=np.int8))
+    assert min(len(lower), len(upper)) > n // 3 and 0 < len(sep) < n // 10
+    # the order numbers the lower half first and the separator last
+    order = nested_dissection_order(mesh.nodes, M)
+    np.testing.assert_array_equal(np.sort(order[:len(lower)]), np.sort(lower))
+    np.testing.assert_array_equal(np.sort(order[n - len(sep):]), np.sort(sep))
+    half = np.full(n, -1)
+    half[lower], half[upper] = 0, 1
+    tris = mesh.triangles
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        ends = half[tris[:, [a, b]]]
+        assert not np.any((ends.min(axis=1) == 0) & (ends.max(axis=1) == 1))
+
+
+def test_nested_dissection_fills_less_than_the_default_ordering():
+    K = _disk_step_matrix(generate_disk_mesh(2560, 10.0), 800.0)
+    default = spla.splu(K.matrix)
+    assert (K._lu.L.nnz + K._lu.U.nnz
+            <= 0.8 * (default.L.nnz + default.U.nnz))
+
+
+@pytest.mark.parametrize("delta0_over_tau", [1e-3, 0.1, 10.0, 800.0, 1e7])
+def test_ordered_solve_residual_over_step_scales(delta0_over_tau):
+    mesh = generate_disk_mesh(2560, 1.0)
+    K = _disk_step_matrix(mesh, delta0_over_tau)
+    rhs = np.random.default_rng(5).standard_normal(2 * mesh.node_count)
+    x = K.solve(rhs)
+    assert np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max() <= 1e-9
