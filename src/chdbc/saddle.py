@@ -12,13 +12,12 @@ satisfy y^T M y + (delta0/tau) x^T M x = 0.
 
 The factorization eliminates the unknowns in a geometric nested-dissection
 order of the mesh nodes (George 1973; Lipton, Rose and Tarjan 1979), with
-the u and w unknowns of each node next to each other. SuperLU keeps that
-order and pivots on the diagonal unless a diagonal entry falls below
-PIVOT_THRESHOLD times the largest entry of its column. Diagonal pivoting is
-safe because the symmetric part of the step matrix, blockdiag((delta0/tau)
-M, M), is positive definite; the threshold keeps the solve accurate when
-delta0/tau is so small or so large that one diagonal block is tiny next to
-A.
+the u and w unknowns of each node next to each other, and the u unknowns
+scaled by (delta0/tau)^(-1/2) so that the scaled matrix has the symmetric
+part blockdiag(M, M) at every step size. SuperLU keeps that order and
+pivots on the diagonal unless a diagonal entry falls below PIVOT_THRESHOLD
+times the largest entry of its column. Why this is safe and accurate, and
+what it saves, is set out in the README's "Solver" section.
 """
 
 from __future__ import annotations
@@ -86,38 +85,48 @@ def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _splu(matrix: sp.spmatrix):
-    # The matrix arrives in elimination order; keep it and pivot as above
-    return spla.splu(sp.csc_matrix(matrix), permc_spec="NATURAL",
-                     diag_pivot_thresh=PIVOT_THRESHOLD,
-                     options={"SymmetricMode": True})
+def _ordered_lu(matrix: sp.spmatrix, perm: np.ndarray, scale: np.ndarray):
+    """Factorize matrix x = b in the elimination order perm.
 
+    SuperLU factorizes S P matrix P^T S, with P taking rows and columns in
+    the order perm and S = diag(scale[perm]); it keeps that order and pivots
+    as set out in the module docstring. Returns the SuperLU handle and a
+    solve for the unpermuted, unscaled system.
+    """
+    s = scale[perm]
+    S = sp.diags(s)
+    lu = spla.splu(sp.csc_matrix(S @ sp.csr_matrix(matrix)[perm][:, perm] @ S),
+                   permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
+                   options={"SymmetricMode": True})
 
-def _permuted_solve(lu, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    x = np.empty_like(rhs)
-    x[perm] = lu.solve(rhs[perm])
-    return x
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = np.empty_like(rhs)
+        x[perm] = s * lu.solve(s * rhs[perm])
+        return x
+
+    return lu, solve
 
 
 def solve_ordered(matrix: sp.spmatrix, order: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
     """One solve with a square matrix, factorized in the given node order."""
-    lu = _splu(sp.csr_matrix(matrix)[order][:, order])
-    return _permuted_solve(lu, order, np.asarray(rhs, dtype=float))
+    _, solve = _ordered_lu(matrix, order, np.ones(matrix.shape[0]))
+    return solve(np.asarray(rhs, dtype=float))
 
 
 class StepMatrix:
     """Assembled block matrix plus its sparse LU handle. Immutable after build.
 
-    `matrix` is K in the blocked (u, w) numbering; `_lu` factorizes K with
-    rows and columns taken in the order `_perm`.
+    `matrix` is K in the blocked (u, w) numbering; `_lu` is the SuperLU
+    handle of its scaled, reordered copy and `_solve` solves K x = b
+    through it.
     """
 
-    def __init__(self, matrix: sp.csc_matrix, lu, perm: np.ndarray,
+    def __init__(self, matrix: sp.csc_matrix, lu, solve,
                  block_dim: int, delta0_over_tau: float):
         self.matrix = matrix
         self._lu = lu
-        self._perm = perm
+        self._solve = solve
         self.block_dim = block_dim
         self.delta0_over_tau = delta0_over_tau
 
@@ -131,7 +140,7 @@ class StepMatrix:
             )
         if not np.isfinite(rhs).all():
             raise ValueError("rhs contains non-finite entries")
-        return _permuted_solve(self._lu, self._perm, rhs)
+        return self._solve(rhs)
 
 
 def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
@@ -141,7 +150,7 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
     Unknown ordering is blocked: the u coefficients come first, the w
     coefficients second. The factorization eliminates the nodes in `order`
     (from `nested_dissection_order`), the u and w unknowns of each node
-    next to each other.
+    next to each other, and scales the u unknowns by (delta0/tau)^(-1/2).
     """
     if M.shape != A.shape or M.shape[0] != M.shape[1]:
         raise ValueError(f"M and A must be square and equal-sized, "
@@ -151,11 +160,12 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
     n = M.shape[0]
     K = sp.bmat([[delta0_over_tau * M, A], [-A, M]], format="csc")
     perm = np.column_stack([order, order + n]).ravel()
+    scale = np.concatenate([np.full(n, delta0_over_tau ** -0.5), np.ones(n)])
     try:
-        lu = _splu(K[perm][:, perm])
+        lu, solve = _ordered_lu(K, perm, scale)
     except RuntimeError as exc:
         raise RuntimeError(
             f"step matrix factorization failed ({exc}); the mass or "
             f"stiffness matrix is likely invalid"
         ) from exc
-    return StepMatrix(K, lu, perm, n, float(delta0_over_tau))
+    return StepMatrix(K, lu, solve, n, float(delta0_over_tau))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from chdbc import integrator, saddle
+from chdbc import integrator
 from chdbc.assembly import assemble_mass, assemble_stiffness
 from chdbc.mesh import generate_disk_mesh
 from chdbc.problems import manufactured_linear
@@ -127,26 +127,35 @@ def test_nested_dissection_order_is_a_permutation(nodes):
 
 
 def test_no_edge_joins_the_halves_of_the_top_level_split():
+    # The top-level split of n nodes numbers the rest of its lower half
+    # first, then its upper half (n - n//2 nodes), then its separator of s
+    # nodes taken from the lower half.
     mesh = generate_disk_mesh(2560, 1.0)
-    M = assemble_mass(mesh)
+    order = nested_dissection_order(mesh.nodes, assemble_mass(mesh))
     n = mesh.node_count
-    lower, upper, sep, _, _ = saddle._bisect(
-        mesh.nodes, np.arange(n), *saddle._edges(M), np.empty(n, dtype=np.int8))
-    assert min(len(lower), len(upper)) > n // 3 and 0 < len(sep) < n // 10
-    # the order numbers the lower half first and the separator last
-    order = nested_dissection_order(mesh.nodes, M)
-    np.testing.assert_array_equal(np.sort(order[:len(lower)]), np.sort(lower))
-    np.testing.assert_array_equal(np.sort(order[n - len(sep):]), np.sort(sep))
-    half = np.full(n, -1)
-    half[lower], half[upper] = 0, 1
-    tris = mesh.triangles
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        ends = half[tris[:, [a, b]]]
-        assert not np.any((ends.min(axis=1) == 0) & (ends.max(axis=1) == 1))
+    edges = mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    half = np.empty(n, dtype=int)
+
+    def joins_halves(s):
+        half[:] = 2
+        half[order[:n // 2 - s]] = 0
+        half[order[n // 2 - s:n - s]] = 1
+        ends = np.sort(half[edges], axis=1)
+        return np.any((ends[:, 0] == 0) & (ends[:, 1] == 1))
+
+    s = next(s for s in range(1, n // 2) if not joins_halves(s))
+    assert s < n // 10
+    upper = mesh.nodes[order[n // 2 - s:n - s]]
+    rest = mesh.nodes[np.concatenate([order[:n // 2 - s], order[n - s:]])]
+    assert any(rest[:, axis].max() <= upper[:, axis].min() for axis in (0, 1))
 
 
-def test_nested_dissection_fills_less_than_the_default_ordering():
-    K = _disk_step_matrix(generate_disk_mesh(2560, 10.0), 800.0)
+@pytest.mark.parametrize("delta0_over_tau", [800.0, 7e4, 1e7])
+def test_nested_dissection_fills_less_than_the_default_ordering(delta0_over_tau):
+    # 800 is the default evolve step; 7e4 and 1e7 are bootstrap BDF1 and
+    # small-tau step scales, where unscaled threshold pivoting left the
+    # diagonal and filled more than the default ordering
+    K = _disk_step_matrix(generate_disk_mesh(2560, 10.0), delta0_over_tau)
     default = spla.splu(K.matrix)
     assert (K._lu.L.nnz + K._lu.U.nnz
             <= 0.8 * (default.L.nnz + default.U.nnz))
