@@ -86,12 +86,12 @@ def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
 
 
 def _ordered_lu(matrix: sp.spmatrix, perm: np.ndarray, scale: np.ndarray):
-    """Factorize matrix x = b in the elimination order perm.
+    """LU of `matrix` in the elimination order perm, scaled by `scale`.
 
-    SuperLU factorizes S P matrix P^T S, with P taking rows and columns in
-    the order perm and S = diag(scale[perm]); it keeps that order and pivots
-    as set out in the module docstring. Returns the SuperLU handle and a
-    solve for the unpermuted, unscaled system.
+    SuperLU factorizes S P matrix P^T S, where P takes rows and columns in
+    the order perm and S = diag(scale[perm]), keeping that order and
+    pivoting as the module docstring says. Returns the SuperLU handle and a
+    solve of matrix x = b through it.
     """
     s = scale[perm]
     S = sp.diags(s)
