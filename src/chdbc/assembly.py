@@ -88,55 +88,43 @@ def assemble_stiffness(mesh: Mesh2D) -> sp.csr_matrix:
     return assemble_bulk_stiffness(mesh) + assemble_surface_stiffness(mesh)
 
 
-def _apply_pointwise(f: Callable, x, y, t: float) -> np.ndarray:
-    """Evaluate a scalar field at node coordinates, vectorized when possible."""
-    try:
-        out = np.asarray(f(x, y, t), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(float(xi), float(yi), t)) for xi, yi in zip(x, y)])
+def _at_nodes(values, shape, what: str) -> np.ndarray:
+    """One evaluation's result as a fresh, finite float array of node shape.
+
+    A constant is broadcast; a result that cannot broadcast raises NumPy's
+    ValueError, a non-finite entry one naming `what` and the first such node.
+    """
+    vals = np.empty(shape)
+    vals[...] = values
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"{what} returned {vals[i]} at node {i}")
+    return vals
 
 
 def nodal_interpolate(f: Callable, mesh: Mesh2D, t: float) -> np.ndarray:
-    """Nodal interpolation: entry i is f(x_i, y_i, t).
+    """Nodal interpolation: entry i is f(x_i, y_i, t), from one call of f.
 
     Raises ValueError naming the first node at which f is non-finite.
     """
-    vals = _apply_pointwise(f, mesh.nodes[:, 0], mesh.nodes[:, 1], t)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    return _at_nodes(f(x, y, t), x.shape, "field")
+
+
+def _node_vector(M: sp.spmatrix, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (M.shape[0],):
         raise ValueError(
-            f"field evaluated to {vals[i]} at node {i} "
-            f"({mesh.nodes[i, 0]}, {mesh.nodes[i, 1]}), t={t}"
+            f"vector length {v.shape} does not match matrix "
+            f"dimension {M.shape[0]}"
         )
-    return vals
+    return v
 
 
 def load_vector(M: sp.spmatrix, f_nodes: np.ndarray) -> np.ndarray:
     """Load vector of an interpolated source: exactly M @ f_nodes."""
-    f_nodes = np.asarray(f_nodes, dtype=float)
-    if f_nodes.shape != (M.shape[0],):
-        raise ValueError(
-            f"vector length {f_nodes.shape} does not match matrix "
-            f"dimension {M.shape[0]}"
-        )
-    return M @ f_nodes
-
-
-def _apply_scalar_map(F: Callable, u: np.ndarray) -> np.ndarray:
-    # overflow to inf is fine here: non-finite outputs get reported by the
-    # caller with the offending node index
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(F(u), dtype=float)
-        if out.shape == u.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(F(float(v))) for v in u])
+    return M @ _node_vector(M, f_nodes)
 
 
 def nonlinearity_vector(M: sp.spmatrix, F: Callable, u_nodes: np.ndarray) -> np.ndarray:
@@ -145,18 +133,12 @@ def nonlinearity_vector(M: sp.spmatrix, F: Callable, u_nodes: np.ndarray) -> np.
     The nonlinearity is interpolated at the nodes before integration, the
     same treatment the plain load vector gets.
     """
-    u_nodes = np.asarray(u_nodes, dtype=float)
-    if u_nodes.shape != (M.shape[0],):
-        raise ValueError(
-            f"vector length {u_nodes.shape} does not match matrix "
-            f"dimension {M.shape[0]}"
-        )
-    vals = _apply_scalar_map(F, u_nodes)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"nonlinearity returned {vals[i]} at node {i}")
-    return M @ vals
+    u_nodes = _node_vector(M, u_nodes)
+    # overflow to inf is fine here: non-finite outputs get reported with
+    # the offending node index
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = F(u_nodes)
+    return M @ _at_nodes(vals, u_nodes.shape, "nonlinearity")
 
 
 def dump_matrix(matrix: sp.spmatrix) -> str:

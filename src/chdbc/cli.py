@@ -197,6 +197,8 @@ def cmd_evolve(args, parser) -> int:
         parser.error(f"--nodes must be >= 4, got {args.nodes}")
     if not (args.strength > 0):
         parser.error(f"--strength must be positive, got {args.strength}")
+    if not 0 <= args.seed < 2 ** 64:
+        parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
     n_steps = _step_count(args.tau, args.T, args.k, parser, "evolve")
     snap_steps = {}
     for t in args.snapshots:

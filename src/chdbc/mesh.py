@@ -166,7 +166,7 @@ def validate_mesh(mesh: Mesh2D) -> None:
         raise ValueError("boundary edges form more than one cycle")
 
     if mesh.radius is not None:
-        r = np.sqrt(np.sum(mesh.nodes[sorted(declared_nodes(mesh))] ** 2, axis=1))
+        r = np.sqrt(np.sum(mesh.nodes[np.unique(mesh.boundary_edges)] ** 2, axis=1))
         off = np.abs(r - mesh.radius)
         if off.max() > CIRCLE_TOL * mesh.radius:
             k = int(np.argmax(off))
@@ -174,11 +174,6 @@ def validate_mesh(mesh: Mesh2D) -> None:
                 f"boundary node off the circle by {off[k]:.3e} "
                 f"(tolerance {CIRCLE_TOL * mesh.radius:.3e})"
             )
-
-
-def declared_nodes(mesh: Mesh2D) -> set:
-    """Set of node indices that appear in the boundary edge list."""
-    return set(int(i) for i in mesh.boundary_edges.ravel())
 
 
 def generate_disk_mesh(target_nodes: int, radius: float = 1.0) -> Mesh2D:
@@ -330,6 +325,11 @@ def import_mesh(text: str) -> Mesh2D:
             raise MeshFormatError(f"bad {header} count {parts[1]!r}", got_ln)
         if cnt < 0:
             raise MeshFormatError(f"negative {header} count", got_ln)
+        # checked before anything is sized from the count
+        if cnt > len(lines) - pos:
+            raise MeshFormatError(
+                f"{header} section declares {cnt} rows but only "
+                f"{len(lines) - pos} lines follow", got_ln)
         return cnt, got_ln
 
     n_nodes, header_ln = section("NODES", content, ln)
@@ -365,12 +365,14 @@ def import_mesh(text: str) -> Mesh2D:
                 raise MeshFormatError(
                     f"{header} line needs {width} indices", ln1)
             try:
-                rows[r] = [int(p) for p in parts]
+                row = [int(p) for p in parts]
             except ValueError:
                 raise MeshFormatError(f"bad index in {content!r}", ln1)
-            if rows[r].min() < 0 or rows[r].max() >= n_nodes:
+            # range-checked as Python ints, before they meet int64
+            if min(row) < 0 or max(row) >= n_nodes:
                 raise MeshFormatError(
                     f"index out of range in {header} row {r}", ln1)
+            rows[r] = row
         return rows, header_ln0
 
     triangles, tri_ln = int_rows("TRIANGLES", 3)

@@ -6,11 +6,15 @@ unit circle xy restricts to (1/2) sin 2(theta), whose surface Laplacian is
 -4xy, and the radial derivative of xy is 2xy, which fixes the surface
 forcings. The hard-coded formulas are guarded by the finite-difference
 residual oracle `verify_manufactured`.
+
+Fields and nonlinearities are called once on whole node arrays, so they
+must be written with NumPy operations; a constant result is broadcast.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -103,22 +107,28 @@ def manufactured_nonlinear() -> ProblemSpec:
     )
 
 
-def _coin_flip_field(seed: int) -> ScalarField:
-    """Deterministic per-point +/-1 draw keyed on the coordinates and seed.
+def _mix64(z):
+    """The splitmix64 finalizer, on Python ints or uint64 arrays."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
 
-    Keying the generator on the coordinate bit patterns keeps the field a
-    plain re-entrant ScalarField while making repeated draws with the same
-    seed identical.
+
+def _coin_flip_field(seed: int) -> ScalarField:
+    """Per-point +/-1 draw: the top bit of mix(mix(mix(seed) ^ xbits) ^ ybits).
+
+    Keyed on the coordinates' bit patterns, the field is re-entrant: a point
+    gets the same value alone or inside any array, in any order.
     """
+    key = _mix64(operator.index(seed))
 
     def u0(x, y, t):
-        if np.ndim(x) > 0:
-            return np.array([u0(float(xi), float(yi), t)
-                             for xi, yi in zip(x, y)])
-        xb = int(np.float64(x).view(np.uint64))
-        yb = int(np.float64(y).view(np.uint64))
-        rng = np.random.default_rng([seed, xb, yb])
-        return 1.0 if rng.random() < 0.5 else -1.0
+        xbits = np.asarray(x, dtype=np.float64).view(np.uint64)
+        ybits = np.asarray(y, dtype=np.float64).view(np.uint64)
+        # uint64 arithmetic wraps by design; NumPy warns for 0-d operands
+        with np.errstate(over="ignore"):
+            h = _mix64(_mix64(key ^ xbits) ^ ybits)
+        return (h >> 63) * 2.0 - 1.0
 
     return u0
 
@@ -128,9 +138,12 @@ def evolution_problem(strength: float = 10.0, seed: int = 0) -> ProblemSpec:
 
     W(u) = strength*(u^2-1)^2, so F(u) = W'(u) = 4*strength*u*(u^2-1); the
     same potential acts in the bulk and on the boundary. Forcings are zero.
+    The seed, in [0, 2^64), keys the hashed +/-1 draw `_coin_flip_field`.
     """
     if not (strength > 0):
         raise ValueError(f"strength must be positive, got {strength}")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     s = float(strength)
     return ProblemSpec(
         kind="nonlinear",

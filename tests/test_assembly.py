@@ -265,6 +265,21 @@ def test_nodal_interpolate_accepts_scalar_only_fields(tri):
     np.testing.assert_allclose(vals, [0.0, 1.0, 1.0], atol=1e-15)
 
 
+def test_field_results_broadcast_to_a_writable_node_vector(tri):
+    vals = nodal_interpolate(lambda x, y, t: 2.0, tri, 0.0)
+    np.testing.assert_array_equal(vals, [2.0, 2.0, 2.0])
+    # a field returning the read-only node coordinates still gives a copy
+    xs = nodal_interpolate(lambda x, y, t: x, tri, 0.0)
+    assert vals.flags.writeable and xs.flags.writeable
+    with pytest.raises(ValueError):
+        nodal_interpolate(lambda x, y, t: np.zeros(2), tri, 0.0)
+    M = assemble_bulk_mass(tri)
+    np.testing.assert_allclose(nonlinearity_vector(M, lambda u: 1.0, np.zeros(3)),
+                               load_vector(M, np.ones(3)), atol=1e-16)
+    with pytest.raises(ValueError):
+        nonlinearity_vector(M, lambda u: np.zeros((3, 1)), np.zeros(3))
+
+
 def test_load_vector_examples(tri):
     M = assemble_bulk_mass(tri)
     np.testing.assert_array_equal(load_vector(M, np.zeros(3)), np.zeros(3))

@@ -141,6 +141,16 @@ def test_evolve_rejects_off_grid_snapshot_time(tmp_path):
     assert not (tmp_path / "evo").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_evolve_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    out = tmp_path / "evo"
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--nodes", "80", "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_convergence_rejects_non_dividing_tau(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--problem", "linear", "--refinements", "1",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chdbc.mesh import (
     Mesh2D,
@@ -179,6 +181,55 @@ def test_import_tolerates_comments_and_blanks():
     text = "# a disk\n" + UNIT_TRIANGLE.replace("TRIANGLES", "\n# body\nTRIANGLES")
     m = import_mesh(text)
     assert m.node_count == 3
+
+
+# A valid 20-node export for the import fuzz below.
+FUZZ_LINES = export_mesh(generate_disk_mesh(20, 1.0)).splitlines()
+
+_FUZZ_TOKENS = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "x", "#", "MESH", "v1", "RADIUS", "NODES",
+                     "TRIANGLES", "BOUNDARY_EDGES"]),
+)
+
+
+def _fuzz_text(header, offset, line):
+    """FUZZ_LINES with the line `offset` below `header`'s line replaced."""
+    lines = list(FUZZ_LINES)
+    i = next(k for k, ln in enumerate(lines) if ln.startswith(header)) + offset
+    lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _mutated_exports(draw):
+    lines = list(FUZZ_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["token", "delete", "duplicate", "insert"]))
+        if op == "token":
+            parts = lines[i].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(_FUZZ_TOKENS)
+            lines[i] = " ".join(parts)
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(i, " ".join(draw(st.lists(_FUZZ_TOKENS, max_size=3))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(_fuzz_text("NODES", 0, "NODES 99999999999999999999"))
+@example(_fuzz_text("TRIANGLES", 1, "99999999999999999999 1 2"))
+@given(_mutated_exports())
+def test_import_of_a_mutated_file_raises_only_mesh_format_errors(text):
+    try:
+        import_mesh(text)
+    except MeshFormatError as exc:
+        assert exc.line is not None
 
 
 def test_validate_catches_mismatched_boundary():

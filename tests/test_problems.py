@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chdbc.mesh import generate_disk_mesh
 from chdbc.problems import (
@@ -123,6 +126,35 @@ def test_evolution_initial_data_is_reproducible_pm_one():
     assert not np.array_equal(a, c)
     # a fair draw: both phases present on 80 nodes
     assert 0 < np.sum(a > 0) < len(a)
+
+
+def test_evolution_seed_must_fit_in_64_bits():
+    evolution_problem(seed=2 ** 64 - 1)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            evolution_problem(seed=seed)
+
+
+@pytest.fixture(scope="module")
+def disk_2560():
+    return generate_disk_mesh(2560, 10.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), order=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_initial_field_depends_only_on_the_point(disk_2560, seed, order, data):
+    u0 = evolution_problem(seed=seed).u0
+    x, y = disk_2560.nodes[:, 0], disk_2560.nodes[:, 1]
+    vals = u0(x, y, 0.0)
+    assert set(np.unique(vals)) <= {-1.0, 1.0}
+    perm = np.random.default_rng(order).permutation(len(x))
+    np.testing.assert_array_equal(u0(x[perm], y[perm], 0.0), vals[perm])
+    i = data.draw(st.integers(0, len(x) - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert u0(float(x[i]), float(y[i]), 0.0) == vals[i]
+    assert 0.4 <= np.mean(vals > 0) <= 0.6
 
 
 def test_problem_by_name():
