@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh2D
+from .mesh import Mesh2D, segment_lengths, signed_areas
 
 # Reference P1 mass matrix on a triangle, to be scaled by area/12.
 _TRI_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
@@ -23,16 +23,12 @@ _SEG_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
 _SEG_STIFF = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _tri_geometry(mesh: Mesh2D):
+def _gradient_coefficients(mesh: Mesh2D):
     p = mesh.nodes[mesh.triangles]  # (t, 3, 2)
     # b_i = y_j - y_k and c_i = x_k - x_j for cyclic (i, j, k)
     b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
     c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-    area = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-    return b, c, area
+    return b, c
 
 
 def _scatter(n, conn, blocks) -> sp.csr_matrix:
@@ -48,16 +44,13 @@ def _scatter(n, conn, blocks) -> sp.csr_matrix:
 
 def assemble_bulk_mass(mesh: Mesh2D) -> sp.csr_matrix:
     """Triangle part of the mass matrix (no boundary contribution)."""
-    _, _, area = _tri_geometry(mesh)
-    blocks = area[:, None, None] / 12.0 * _TRI_MASS
+    blocks = signed_areas(mesh)[:, None, None] / 12.0 * _TRI_MASS
     return _scatter(mesh.node_count, mesh.triangles, blocks)
 
 
 def assemble_surface_mass(mesh: Mesh2D) -> sp.csr_matrix:
     """Boundary-segment part of the mass matrix."""
-    d = mesh.nodes[mesh.boundary_edges[:, 1]] - mesh.nodes[mesh.boundary_edges[:, 0]]
-    length = np.sqrt((d * d).sum(axis=1))
-    blocks = length[:, None, None] / 6.0 * _SEG_MASS
+    blocks = segment_lengths(mesh)[:, None, None] / 6.0 * _SEG_MASS
     return _scatter(mesh.node_count, mesh.boundary_edges, blocks)
 
 
@@ -68,18 +61,16 @@ def assemble_mass(mesh: Mesh2D) -> sp.csr_matrix:
 
 def assemble_bulk_stiffness(mesh: Mesh2D) -> sp.csr_matrix:
     """Triangle part of the stiffness matrix (gradient inner products)."""
-    b, c, area = _tri_geometry(mesh)
+    b, c = _gradient_coefficients(mesh)
     blocks = (
         b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    ) / (4.0 * area)[:, None, None]
+    ) / (4.0 * signed_areas(mesh))[:, None, None]
     return _scatter(mesh.node_count, mesh.triangles, blocks)
 
 
 def assemble_surface_stiffness(mesh: Mesh2D) -> sp.csr_matrix:
     """Boundary part: tangential-gradient products, (1/L)[[1,-1],[-1,1]]."""
-    d = mesh.nodes[mesh.boundary_edges[:, 1]] - mesh.nodes[mesh.boundary_edges[:, 0]]
-    length = np.sqrt((d * d).sum(axis=1))
-    blocks = 1.0 / length[:, None, None] * _SEG_STIFF
+    blocks = 1.0 / segment_lengths(mesh)[:, None, None] * _SEG_STIFF
     return _scatter(mesh.node_count, mesh.boundary_edges, blocks)
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,19 +27,36 @@ DEFAULT_SNAPSHOT_TIMES = (0.0, 0.5, 1.0, 2.0, 3.0)
 EOC_SENTINEL = "NA"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-
-
 def _csv(rows: List[List]) -> str:
-    return "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
+    # rows hold Python scalars; str of a float is its shortest round-trip repr
+    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+
+
+def _write_files(files: Iterable[Tuple[str, Callable[[], str]]]) -> None:
+    """Write every (path, render) pair, all or nothing.
+
+    Each text is rendered and written in turn to a new temporary file next
+    to its path, so memory holds one text at a time. The files are renamed
+    into place only after all of them are written, so a failed render or
+    write leaves every target as it was. On any failure the temporary files
+    are removed.
+    """
+    written = []
+    try:
+        for path, render in files:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            with open(tmp, "x", newline="\n") as fh:
+                written.append((tmp, path))
+                fh.write(render())
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        raise
 
 
 def _parse_int_list(text: str) -> List[int]:
@@ -159,15 +177,7 @@ def cmd_convergence(args, parser) -> int:
             ])
     text = _csv(rows)
     if args.out:
-        try:
-            _write_text(args.out, text)
-        except BaseException:
-            # never leave a partial table behind
-            try:
-                os.unlink(args.out)
-            except OSError:
-                pass
-            raise
+        _write_files([(args.out, lambda: text)])
     else:
         sys.stdout.write(text)
     return 0
@@ -182,14 +192,18 @@ def _vtk_snapshot(m: meshmod.Mesh2D, u: np.ndarray, title: str) -> str:
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n} double",
     ]
-    out += [f"{float(x)!r} {float(y)!r} 0.0" for x, y in m.nodes]
+    out += [f"{x!r} {y!r} 0.0" for x, y in m.nodes.tolist()]
     out.append(f"CELLS {t} {4 * t}")
-    out += [f"3 {a} {b} {c}" for a, b, c in m.triangles]
+    out += [f"3 {a} {b} {c}" for a, b, c in m.triangles.tolist()]
     out.append(f"CELL_TYPES {t}")
     out += ["5"] * t
     out += [f"POINT_DATA {n}", "SCALARS u double 1", "LOOKUP_TABLE default"]
-    out += [repr(float(v)) for v in u]
+    out += map(repr, u.tolist())
     return "\n".join(out) + "\n"
+
+
+def _snapshot_csv(m: meshmod.Mesh2D, u: np.ndarray) -> str:
+    return _csv([["x", "y", "u"], *np.column_stack([m.nodes, u]).tolist()])
 
 
 def cmd_evolve(args, parser) -> int:
@@ -225,31 +239,17 @@ def cmd_evolve(args, parser) -> int:
         diagnostics.append([t, stepper.mass(u), stepper.energy(u)])
 
     os.makedirs(args.out, exist_ok=True)
-    written = []
-    try:
-        for idx in sorted(snap_steps):
-            t = snap_steps[idx]
-            u = snapshots[idx]
-            rows = [["x", "y", "u"]]
-            rows += [[float(x), float(y), float(v)]
-                     for (x, y), v in zip(m.nodes, u)]
-            path = os.path.join(args.out, f"snapshot_t{t:g}.csv")
-            _write_text(path, _csv(rows))
-            written.append(path)
-            if args.vtk:
-                path = os.path.join(args.out, f"snapshot_t{t:g}.vtk")
-                _write_text(path, _vtk_snapshot(m, u, f"u at t={t:g}"))
-                written.append(path)
-        path = os.path.join(args.out, "diagnostics.csv")
-        _write_text(path, _csv(diagnostics))
-        written.append(path)
-    except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
+    files = []
+    for idx in sorted(snap_steps):
+        t, u = snap_steps[idx], snapshots[idx]
+        stem = os.path.join(args.out, f"snapshot_t{t:g}")
+        files.append((stem + ".csv", partial(_snapshot_csv, m, u)))
+        if args.vtk:
+            files.append((stem + ".vtk",
+                          partial(_vtk_snapshot, m, u, f"u at t={t:g}")))
+    files.append((os.path.join(args.out, "diagnostics.csv"),
+                  partial(_csv, diagnostics)))
+    _write_files(files)
     return 0
 
 
@@ -273,7 +273,7 @@ def cmd_mesh(args, parser) -> int:
         print(f"mesh valid: {m.node_count} nodes, {len(m.triangles)} triangles",
               file=sys.stderr)
     if args.out:
-        _write_text(args.out, text)
+        _write_files([(args.out, lambda: text)])
     else:
         sys.stdout.write(text)
     return 0

@@ -81,11 +81,18 @@ def _edge_lengths(mesh: Mesh2D) -> np.ndarray:
     return np.sqrt(np.einsum("tij,tij->ti", d, d)).ravel()
 
 
-def _signed_areas(mesh: Mesh2D) -> np.ndarray:
+def signed_areas(mesh: Mesh2D) -> np.ndarray:
+    """Triangle areas, positive for counterclockwise vertex order."""
     p = mesh.nodes[mesh.triangles]
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def segment_lengths(mesh: Mesh2D) -> np.ndarray:
+    """Lengths of the boundary edges."""
+    d = mesh.nodes[mesh.boundary_edges[:, 1]] - mesh.nodes[mesh.boundary_edges[:, 0]]
+    return np.sqrt((d * d).sum(axis=1))
 
 
 def mesh_size(mesh: Mesh2D) -> float:
@@ -113,7 +120,7 @@ def validate_mesh(mesh: Mesh2D) -> None:
     if mesh.boundary_edges.min() < 0 or mesh.boundary_edges.max() >= n:
         raise ValueError("boundary edge node index out of range")
 
-    areas = _signed_areas(mesh)
+    areas = signed_areas(mesh)
     h = mesh_size(mesh)
     if areas.min() <= DEGENERATE_AREA_FACTOR * h * h:
         t = int(np.argmin(areas))
@@ -255,133 +262,120 @@ def export_mesh(mesh: Mesh2D) -> str:
     if mesh.radius is not None:
         out.append(f"RADIUS {float(mesh.radius)!r}")
     out.append(f"NODES {mesh.node_count}")
-    for x, y in mesh.nodes:
-        out.append(f"{float(x)!r} {float(y)!r}")
+    out += [f"{x!r} {y!r}" for x, y in mesh.nodes.tolist()]
     out.append(f"TRIANGLES {len(mesh.triangles)}")
-    for i, j, k in mesh.triangles:
-        out.append(f"{i} {j} {k}")
+    out += [f"{i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
     out.append(f"BOUNDARY_EDGES {len(mesh.boundary_edges)}")
-    for i, j in mesh.boundary_edges:
-        out.append(f"{i} {j}")
+    out += [f"{i} {j}" for i, j in mesh.boundary_edges.tolist()]
     return "\n".join(out) + "\n"
-
-
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
 
 
 _SECTION_KEYWORDS = ("MESH", "RADIUS", "NODES", "TRIANGLES", "BOUNDARY_EDGES")
 
 
-def _looks_like_section(content: str) -> bool:
-    return content.split()[0] in _SECTION_KEYWORDS
+def _header_value(entry, keyword: str, parse):
+    """The value of a `KEYWORD value` line, parsed from ASCII by `parse`."""
+    ln, content = entry
+    parts = content.split()
+    if parts[:1] != [keyword]:
+        raise MeshFormatError(f"expected {keyword} section", ln)
+    if len(parts) != 2:
+        raise MeshFormatError(f"{keyword} expects one value", ln)
+    try:
+        if parts[1].isascii() and "_" not in parts[1]:
+            return parse(parts[1])
+    except ValueError:
+        pass
+    raise MeshFormatError(f"bad {keyword} value {parts[1]!r}", ln)
+
+
+def _section_rows(keyword: str, count: int, rows, width: int, dtype,
+                  header_ln: int) -> np.ndarray:
+    """Parse the `count` (line, content) rows of a section in one loadtxt call.
+
+    `rows` is a slice of the file's content lines, so it is never longer
+    than the file. On a parse failure the rows are re-checked one at a time
+    to name the offending line.
+    """
+    if count == 0:
+        return np.empty((0, width), dtype=dtype)
+    if len(rows) == count:
+        try:
+            values = np.loadtxt([c for _, c in rows], dtype=dtype, ndmin=2)
+            if values.shape[1] == width:
+                return values
+        except ValueError:
+            pass
+    for r, (ln, content) in enumerate(rows):
+        parts = content.split()
+        if parts[0] in _SECTION_KEYWORDS:
+            break
+        if len(parts) != width:
+            raise MeshFormatError(f"{keyword} line needs {width} values", ln)
+        try:
+            np.loadtxt([content], dtype=dtype)
+        except ValueError:
+            raise MeshFormatError(f"bad {keyword} line {content!r}", ln) from None
+    else:
+        r = len(rows)
+    raise MeshFormatError(
+        f"{keyword} section declares {count} rows but only {r} follow",
+        header_ln)
 
 
 def import_mesh(text: str) -> Mesh2D:
     """Parse the mesh text format and validate the result.
 
-    Raises MeshFormatError with a line number for malformed headers, wrong
-    counts, bad indices, or any invariant violation of the parsed mesh.
+    Comments (`#` to the end of a line) and blank lines are ignored. Section
+    keywords must match exactly, and numbers are ASCII decimals. Raises
+    MeshFormatError with a line number for malformed headers, wrong counts,
+    bad rows or indices, or any invariant violation of the parsed mesh.
     """
     lines = text.splitlines()
-    pos = 0
+    content = [(ln, c) for ln, line in enumerate(lines, 1)
+               if (c := line.partition("#")[0].strip())]
+    end = (len(lines), "")  # stands for the missing line after the last
 
-    def next_content():
-        nonlocal pos
-        while pos < len(lines):
-            content = _strip(lines[pos])
-            pos += 1
-            if content:
-                return content, pos
-        return None, pos
-
-    content, ln = next_content()
-    if content != "MESH v1":
-        raise MeshFormatError("expected header 'MESH v1'", ln)
-
+    first = content[0] if content else end
+    if first[1] != "MESH v1":
+        raise MeshFormatError("expected header 'MESH v1'", first[0])
+    pos = 1
     radius = None
-    content, ln = next_content()
-    if content is not None and content.startswith("RADIUS"):
-        parts = content.split()
-        if len(parts) != 2:
-            raise MeshFormatError("RADIUS expects one value", ln)
-        try:
-            radius = float(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad RADIUS value {parts[1]!r}", ln)
+    if pos < len(content) and content[pos][1].split()[0] == "RADIUS":
+        radius = _header_value(content[pos], "RADIUS", float)
         if not (radius > 0) or not math.isfinite(radius):
-            raise MeshFormatError(f"RADIUS must be positive, got {parts[1]}", ln)
-        content, ln = next_content()
-
-    def section(header, got, got_ln):
-        if got is None or not got.startswith(header):
-            raise MeshFormatError(f"expected {header} section", got_ln)
-        parts = got.split()
-        if len(parts) != 2:
-            raise MeshFormatError(f"{header} expects a count", got_ln)
-        try:
-            cnt = int(parts[1])
-        except ValueError:
-            raise MeshFormatError(f"bad {header} count {parts[1]!r}", got_ln)
-        if cnt < 0:
-            raise MeshFormatError(f"negative {header} count", got_ln)
-        # checked before anything is sized from the count
-        if cnt > len(lines) - pos:
             raise MeshFormatError(
-                f"{header} section declares {cnt} rows but only "
-                f"{len(lines) - pos} lines follow", got_ln)
-        return cnt, got_ln
+                f"RADIUS must be positive, got {radius!r}", content[pos][0])
+        pos += 1
 
-    n_nodes, header_ln = section("NODES", content, ln)
-    nodes = np.empty((n_nodes, 2))
-    for r in range(n_nodes):
-        content, ln = next_content()
-        if content is None or _looks_like_section(content):
+    sections = []
+    for keyword, width, dtype in (("NODES", 2, float),
+                                  ("TRIANGLES", 3, np.int64),
+                                  ("BOUNDARY_EDGES", 2, np.int64)):
+        header = content[pos] if pos < len(content) else end
+        count = _header_value(header, keyword, int)
+        if count < 0:
+            raise MeshFormatError(f"negative {keyword} count", header[0])
+        rows = content[pos + 1:pos + 1 + count]
+        values = _section_rows(keyword, count, rows, width, dtype, header[0])
+        if keyword == "NODES":
+            n_nodes = len(values)
+            bad = ~np.isfinite(values).all(axis=1)
+        else:
+            bad = ((values < 0) | (values >= n_nodes)).any(axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            what = "non-finite value" if keyword == "NODES" else "index out of range"
             raise MeshFormatError(
-                f"NODES section declares {n_nodes} nodes but only {r} "
-                f"follow", header_ln)
-        parts = content.split()
-        if len(parts) != 2:
-            raise MeshFormatError("node line needs 'x y'", ln)
-        try:
-            nodes[r] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise MeshFormatError(f"bad node coordinates {content!r}", ln)
-        if not np.isfinite(nodes[r]).all():
-            raise MeshFormatError(f"non-finite node coordinates {content!r}", ln)
+                f"{what} in {keyword} row {r}: {rows[r][1]!r}", rows[r][0])
+        sections.append((values, header[0]))
+        pos += 1 + count
 
-    def int_rows(header, width):
-        content, ln0 = next_content()
-        cnt, header_ln0 = section(header, content, ln0)
-        rows = np.empty((cnt, width), dtype=np.int64)
-        for r in range(cnt):
-            content, ln1 = next_content()
-            if content is None or _looks_like_section(content):
-                raise MeshFormatError(
-                    f"{header} section declares {cnt} rows but only {r} "
-                    f"follow", header_ln0)
-            parts = content.split()
-            if len(parts) != width:
-                raise MeshFormatError(
-                    f"{header} line needs {width} indices", ln1)
-            try:
-                row = [int(p) for p in parts]
-            except ValueError:
-                raise MeshFormatError(f"bad index in {content!r}", ln1)
-            # range-checked as Python ints, before they meet int64
-            if min(row) < 0 or max(row) >= n_nodes:
-                raise MeshFormatError(
-                    f"index out of range in {header} row {r}", ln1)
-            rows[r] = row
-        return rows, header_ln0
+    if pos < len(content):
+        raise MeshFormatError(
+            f"unexpected trailing content {content[pos][1]!r}", content[pos][0])
 
-    triangles, tri_ln = int_rows("TRIANGLES", 3)
-    edges, edge_ln = int_rows("BOUNDARY_EDGES", 2)
-
-    content, ln = next_content()
-    if content is not None:
-        raise MeshFormatError(f"unexpected trailing content {content!r}", ln)
-
+    (nodes, _), (triangles, tri_ln), (edges, edge_ln) = sections
     mesh = Mesh2D(nodes=nodes, triangles=triangles,
                   boundary_edges=edges, radius=radius)
     try:
@@ -396,10 +390,9 @@ def import_mesh(text: str) -> Mesh2D:
 
 def bulk_area(mesh: Mesh2D) -> float:
     """Sum of triangle areas (the polygonal approximation of the disk)."""
-    return float(_signed_areas(mesh).sum())
+    return float(signed_areas(mesh).sum())
 
 
 def boundary_length(mesh: Mesh2D) -> float:
     """Perimeter of the boundary polygon."""
-    d = mesh.nodes[mesh.boundary_edges[:, 1]] - mesh.nodes[mesh.boundary_edges[:, 0]]
-    return float(np.sqrt((d * d).sum(axis=1)).sum())
+    return float(segment_lengths(mesh).sum())

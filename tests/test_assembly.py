@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chdbc.assembly import (
     assemble_bulk_mass,
@@ -11,7 +13,14 @@ from chdbc.assembly import (
     nodal_interpolate,
     nonlinearity_vector,
 )
-from chdbc.mesh import boundary_length, bulk_area, generate_disk_mesh, import_mesh
+from chdbc.mesh import (
+    Mesh2D,
+    boundary_length,
+    bulk_area,
+    generate_disk_mesh,
+    import_mesh,
+    validate_mesh,
+)
 
 TRI_NO_BOUNDARY = """\
 MESH v1
@@ -167,6 +176,41 @@ def test_partition_of_unity_mass_sum():
         total = float(ones @ (M @ ones))
         assert total == pytest.approx(bulk_area(mesh) + boundary_length(mesh),
                                       rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([5, 20, 80, 320]), st.sampled_from([1.0, 10.0]),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.7))
+def test_perturbed_disk_keeps_the_constant_identities(target, radius, seed, amount):
+    # Interior nodes move by less than half the smallest triangle altitude,
+    # so every triangle stays counterclockwise, and the boundary polygon,
+    # hence the total area and perimeter, stays fixed.
+    mesh = generate_disk_mesh(target, radius)
+    p = mesh.nodes[mesh.triangles]
+    sides = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    twice_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    step = amount * (twice_area / sides.max(axis=1)).min()  # 0.7 * 0.71 < 0.5
+    interior = np.setdiff1d(np.arange(mesh.node_count), mesh.boundary_edges)
+    nodes = mesh.nodes.copy()
+    # each coordinate by at most step/2, each node by at most 0.71 * step
+    nodes[interior] += 0.5 * step * np.random.default_rng(seed).uniform(
+        -1.0, 1.0, (len(interior), 2))
+    moved = Mesh2D(nodes=nodes, triangles=mesh.triangles,
+                   boundary_edges=mesh.boundary_edges, radius=radius)
+    validate_mesh(moved)
+
+    i, j = mesh.boundary_edges.T
+    x, y = nodes[:, 0], nodes[:, 1]
+    polygon_area = 0.5 * float(np.sum(x[i] * y[j] - x[j] * y[i]))
+    perimeter = float(np.hypot(x[j] - x[i], y[j] - y[i]).sum())
+    M, A = assemble_mass(moved), assemble_stiffness(moved)
+    ones = np.ones(moved.node_count)
+    assert np.abs(A @ ones).max() <= 1e-12 * abs(A).max()
+    total = float(ones @ (M @ ones))
+    assert total == pytest.approx(polygon_area + perimeter, rel=1e-12)
+    assert total == pytest.approx(bulk_area(moved) + boundary_length(moved),
+                                  rel=1e-12)
 
 
 def test_square_matches_reference_assembler(square):

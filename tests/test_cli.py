@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chdbc import cli
 from chdbc.cli import _csv, main
 from chdbc.integrator import bdf_scheme, run
 from chdbc.mesh import generate_disk_mesh, import_mesh, validate_mesh
@@ -215,6 +216,60 @@ def test_runtime_failure_returns_one_and_removes_partial_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err
     assert not (out / "diagnostics.csv").exists()
+
+
+def test_failed_evolve_write_leaves_the_earlier_outputs(tmp_path, monkeypatch):
+    # the second VTK render fails after the first CSV and VTK are written
+    out = tmp_path / "evo"
+    out.mkdir()
+    older = {"snapshot_t0.csv": b"x,y,u\n0.0,0.0,1.0\n",
+             "diagnostics.csv": b"t,mass,energy\n0.0,1.0,2.0\n"}
+    for name, data in older.items():
+        (out / name).write_bytes(data)
+    render = cli._vtk_snapshot
+    calls = []
+
+    def fail_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("render failed")
+        return render(*args)
+
+    monkeypatch.setattr(cli, "_vtk_snapshot", fail_second)
+    rc = main(["evolve", "--nodes", "80", "--radius", "10", "--k", "1",
+               "--tau", "0.0125", "--T", "0.025", "--snapshots", "0,0.025",
+               "--vtk", "--out", str(out)])
+    assert rc == 1
+    assert len(calls) == 2
+    assert sorted(os.listdir(out)) == sorted(older)
+    for name, data in older.items():
+        assert read(out / name) == data
+
+
+@pytest.mark.parametrize("command", [
+    ["mesh", "--nodes", "20"],
+    ["convergence", "--problem", "linear", "--refinements", "1",
+     "--tau", "0.025", "--T", "0.1"],
+])
+def test_failed_rename_leaves_the_existing_file(tmp_path, monkeypatch, command):
+    target = tmp_path / "existing.txt"
+    target.write_bytes(b"an earlier run\n")
+
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src} to {dst}")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(command + ["--out", str(target)]) == 1
+    assert read(target) == b"an earlier run\n"
+    assert os.listdir(tmp_path) == ["existing.txt"]
+
+
+def test_written_files_get_the_permission_bits_of_a_plain_open(tmp_path):
+    out = tmp_path / "disk.mesh"
+    assert main(["mesh", "--nodes", "20", "--out", str(out)]) == 0
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert os.stat(out).st_mode == os.stat(tmp_path / "plain").st_mode
 
 
 def test_streamed_evolve_csvs_equal_those_rendered_from_run(tmp_path):

@@ -232,6 +232,19 @@ def test_import_of_a_mutated_file_raises_only_mesh_format_errors(text):
         assert exc.line is not None
 
 
+@pytest.mark.parametrize("keyword, misspelt", [
+    ("RADIUS", "RADIUSX"), ("NODES", "NODESQ"), ("TRIANGLES", "TRIANGLES_"),
+    ("BOUNDARY_EDGES", "BOUNDARY_EDGESZ"),
+])
+def test_import_rejects_a_misspelt_section_keyword(keyword, misspelt):
+    lines = list(FUZZ_LINES)
+    i = next(k for k, ln in enumerate(lines) if ln.split()[0] == keyword)
+    lines[i] = lines[i].replace(keyword, misspelt, 1)
+    with pytest.raises(MeshFormatError) as exc:
+        import_mesh("\n".join(lines) + "\n")
+    assert exc.value.line == i + 1
+
+
 def test_validate_catches_mismatched_boundary():
     m = import_mesh(UNIT_TRIANGLE)
     broken = Mesh2D(nodes=m.nodes, triangles=m.triangles,
