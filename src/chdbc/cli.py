@@ -141,6 +141,13 @@ def _step_count(tau: float, T: float, k: int, parser, what: str) -> int:
         parser.error(f"{what}: {exc}")
 
 
+def _check_disk(args, parser) -> None:
+    if args.nodes < 4:
+        parser.error(f"--nodes must be >= 4, got {args.nodes}")
+    if not (args.radius > 0 and np.isfinite(args.radius)):
+        parser.error(f"--radius must be positive and finite, got {args.radius}")
+
+
 def cmd_convergence(args, parser) -> int:
     taus = args.tau if args.tau else list(DEFAULT_TAUS)
     if not args.refinements:
@@ -154,12 +161,13 @@ def cmd_convergence(args, parser) -> int:
         _step_count(tau, args.T, args.k, parser, "convergence")
     problem = problems.problem_by_name(args.problem)
     scheme = integrator.bdf_scheme(args.k)
+    meshes = [(i, meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, args.radius))
+              for i in sorted(set(args.refinements))]
 
     rows = [["i", "nodes", "h", "tau", "err_L2", "err_H1", "eoc_L2", "eoc_H1"]]
     for tau in taus:
         reports = []
-        for i in sorted(set(args.refinements)):
-            m = meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, args.radius)
+        for i, m in meshes:
             traj = integrator.run(problem, m, tau, args.T, scheme,
                                   start_mode=args.start_mode)
             reports.append((i, analysis.final_error(traj, problem, m)))
@@ -207,8 +215,7 @@ def _snapshot_csv(m: meshmod.Mesh2D, u: np.ndarray) -> str:
 
 
 def cmd_evolve(args, parser) -> int:
-    if args.nodes < 4:
-        parser.error(f"--nodes must be >= 4, got {args.nodes}")
+    _check_disk(args, parser)
     if not (args.strength > 0):
         parser.error(f"--strength must be positive, got {args.strength}")
     if not 0 <= args.seed < 2 ** 64:
@@ -254,10 +261,7 @@ def cmd_evolve(args, parser) -> int:
 
 
 def cmd_mesh(args, parser) -> int:
-    if args.nodes < 4:
-        parser.error(f"--nodes must be >= 4, got {args.nodes}")
-    if not (args.radius > 0):
-        parser.error(f"--radius must be positive, got {args.radius}")
+    _check_disk(args, parser)
     m = meshmod.generate_disk_mesh(args.nodes, args.radius)
     text = meshmod.export_mesh(m)
     if args.validate:

@@ -221,8 +221,9 @@ class Stepper:
 
         mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
         u^0 from the initial data, recovers w^0 from the algebraic constraint,
-        and reaches the remaining starts with graded BDF1 substeps so the
-        starting segment itself is accurate to the method order.
+        and reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1
+        substeps (at most BOOTSTRAP_SUBSTEP_CAP). Their error, about tau^2/m =
+        tau^(2+(k-1)/k), is below the method order k for k >= 3.
         """
         problem, mesh, tau, k = self.problem, self.mesh, self.tau, self.scheme.k
         if mode == "exact":

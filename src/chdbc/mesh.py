@@ -75,12 +75,6 @@ class Mesh2D:
         return self.nodes.shape[0]
 
 
-def _edge_lengths(mesh: Mesh2D) -> np.ndarray:
-    p = mesh.nodes[mesh.triangles]
-    d = p - np.roll(p, -1, axis=1)
-    return np.sqrt(np.einsum("tij,tij->ti", d, d)).ravel()
-
-
 def signed_areas(mesh: Mesh2D) -> np.ndarray:
     """Triangle areas, positive for counterclockwise vertex order."""
     p = mesh.nodes[mesh.triangles]
@@ -97,17 +91,25 @@ def segment_lengths(mesh: Mesh2D) -> np.ndarray:
 
 def mesh_size(mesh: Mesh2D) -> float:
     """Maximum edge length over all triangle edges (the mesh width h)."""
-    return float(_edge_lengths(mesh).max())
+    p = mesh.nodes[mesh.triangles]
+    d = p - np.roll(p, -1, axis=1)
+    return float(np.sqrt(np.einsum("tij,tij->ti", d, d)).max())
 
 
 def validate_mesh(mesh: Mesh2D) -> None:
     """Check all Mesh2D invariants, raising ValueError on the first failure.
 
-    Checks index ranges, strictly positive (non-degenerate) triangle areas,
+    Checks finite coordinates and radius first (the later checks pass NaN),
+    then index ranges, strictly positive (non-degenerate) triangle areas,
     the boundary/interior edge incidence counts, that the boundary edges
     form a single closed cycle, and (when a radius is present) that every
     boundary vertex lies on the circle.
     """
+    if not np.isfinite(mesh.nodes).all():
+        k = int(np.argmin(np.isfinite(mesh.nodes).all(axis=1)))
+        raise ValueError(f"node {k} has a non-finite coordinate {mesh.nodes[k]}")
+    if mesh.radius is not None and not math.isfinite(mesh.radius):
+        raise ValueError(f"radius must be finite, got {mesh.radius!r}")
     n = mesh.node_count
     if n < 3:
         raise ValueError("mesh needs at least 3 nodes")
@@ -186,72 +188,64 @@ def validate_mesh(mesh: Mesh2D) -> None:
 def generate_disk_mesh(target_nodes: int, radius: float = 1.0) -> Mesh2D:
     """Generate a quasi-uniform disk triangulation with ~target_nodes nodes.
 
-    Concentric-ring construction: rings at radii j*R/m for j = 1..m, ring j
-    carrying round(c*j) nodes with c calibrated so the total node count hits
-    the target; a fan around the center and angle-merged triangle strips
-    between consecutive rings. Boundary vertices are placed exactly on the
-    circle of the given radius.
+    Concentric-ring construction: around the centre (ring 0), rings at radii
+    j*R/m for j = 1..m, ring j carrying n_j = round(c*j) nodes at angles
+    2*pi*q/n_j with c calibrated so the node count hits the target; boundary
+    vertices sit exactly on the circle. Strip j joins rings j and j+1 (strip
+    0 is the fan). Every node advances its ring past 2*pi*(q+1)/n_j in the
+    strips on both sides of it. These angles increase along each ring, so
+    sorting all advances by (strip, angle, outer before inner) merges the
+    two rings of each strip. An advance emits the CCW triangle of the
+    current inner and outer nodes, known from how many advances of each
+    ring came before, and the next node of its ring.
 
     Parameters
     ----------
     target_nodes : int
         Requested node count (>= 4). The result is within +/-15%.
     radius : float
-        Disk radius (> 0).
+        Disk radius (positive and finite).
     """
     if target_nodes < 4:
         raise ValueError(f"target_nodes must be >= 4, got {target_nodes}")
-    if not (radius > 0):
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
 
     m = max(1, round(math.sqrt((target_nodes - 1) / math.pi) - 0.5))
     c = 2.0 * (target_nodes - 1) / (m * (m + 1))
-    counts = [max(3, round(c * j)) for j in range(1, m + 1)]
+    sizes = np.r_[1, np.maximum(3, np.rint(c * np.arange(1, m + 1)))].astype(np.int64)
+    first = np.cumsum(sizes) - sizes  # the index of each ring's node q = 0
+    n = int(first[-1] + sizes[-1])
 
-    nodes = [(0.0, 0.0)]
-    rings = []
-    for j, nj in enumerate(counts, start=1):
-        r = radius * j / m
-        first = len(nodes)
-        for q in range(nj):
-            a = 2.0 * math.pi * q / nj
-            nodes.append((r * math.cos(a), r * math.sin(a)))
-        rings.append(list(range(first, first + nj)))
+    ring = np.repeat(np.arange(1, m + 1), sizes[1:])
+    q = np.arange(1, n) - first[ring]
+    a = 2.0 * math.pi * q / sizes[ring]
+    r = radius * ring / m
+    nodes = np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(a), r * np.sin(a)])])
 
-    triangles = []
-    inner_ring = rings[0]
-    n0 = len(inner_ring)
-    for q in range(n0):
-        triangles.append((0, inner_ring[q], inner_ring[(q + 1) % n0]))
+    # Outer advances of every node, then inner advances of all but the rim.
+    inner = ring < m
+    strip = np.r_[ring - 1, ring[inner]]
+    angle = 2.0 * math.pi * (q + 1) / sizes[ring]
+    is_inner = np.arange(len(strip)) >= n - 1
+    order = np.lexsort((is_inner, np.r_[angle, angle[inner]], strip))
+    strip, is_inner = strip[order], is_inner[order]
+    # In this order the k-th advance of either kind is node k + 1's, so the
+    # current node of each ring is done + 1, wrapped onto the ring.
+    inner_done = np.cumsum(is_inner) - is_inner
+    outer_done = np.arange(len(order)) - inner_done
 
-    for j in range(1, m):
-        inner, outer = rings[j - 1], rings[j]
-        ni, no = len(inner), len(outer)
-        i = q = 0
-        # Merge both rings by angle; each advance emits one CCW triangle.
-        while i < ni or q < no:
-            inner_next = 2.0 * math.pi * (i + 1) / ni
-            outer_next = 2.0 * math.pi * (q + 1) / no
-            if q < no and (i == ni or outer_next <= inner_next):
-                triangles.append(
-                    (inner[i % ni], outer[q % no], outer[(q + 1) % no])
-                )
-                q += 1
-            else:
-                triangles.append(
-                    (inner[i % ni], outer[q % no], inner[(i + 1) % ni])
-                )
-                i += 1
+    def on_ring(j, k):  # node k wrapped onto ring j
+        return first[j] + (k - first[j]) % sizes[j]
 
-    rim = rings[-1]
-    edges = [(rim[q], rim[(q + 1) % len(rim)]) for q in range(len(rim))]
-
-    mesh = Mesh2D(
-        nodes=np.array(nodes, dtype=float),
-        triangles=np.array(triangles, dtype=np.int64),
-        boundary_edges=np.array(edges, dtype=np.int64),
-        radius=float(radius),
-    )
+    triangles = np.column_stack([
+        on_ring(strip, inner_done + 1), on_ring(strip + 1, outer_done + 1),
+        np.where(is_inner, on_ring(strip, inner_done + 2),
+                 on_ring(strip + 1, outer_done + 2))])
+    rim = np.arange(first[m], n)
+    mesh = Mesh2D(nodes=nodes, triangles=triangles,
+                  boundary_edges=np.column_stack([rim, np.roll(rim, -1)]),
+                  radius=float(radius))
     validate_mesh(mesh)
     return mesh
 

@@ -75,6 +75,29 @@ def test_mesh_usage_error_for_tiny_target(tmp_path):
     assert not (tmp_path / "m.mesh").exists()
 
 
+@pytest.mark.parametrize("radius", ["-1", "0", "inf", "nan"])
+@pytest.mark.parametrize("command", ["evolve", "mesh"])
+def test_disk_radius_must_be_positive_and_finite(tmp_path, capsys, command, radius):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--nodes", "40", "--radius", radius, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--radius must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_convergence_builds_each_refinement_mesh_once(tmp_path, monkeypatch):
+    calls = []
+    generate = cli.meshmod.generate_disk_mesh
+    monkeypatch.setattr(cli.meshmod, "generate_disk_mesh",
+                        lambda *args: calls.append(args) or generate(*args))
+    rc = main(["convergence", "--problem", "linear", "--refinements", "1,2",
+               "--tau", "0.05", "--tau", "0.025", "--T", "0.1",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert calls == [(20, 1.0), (40, 1.0)]
+
+
 def test_mesh_large_target_is_fast(tmp_path):
     start = time.time()
     rc = main(["mesh", "--nodes", "2560", "--out", str(tmp_path / "big.mesh"),

@@ -1,13 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chdbc import analysis, assembly, integrator
 from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run
 from chdbc.mesh import generate_disk_mesh, import_mesh
-from chdbc.problems import ProblemSpec, evolution_problem, manufactured_linear
+from chdbc.problems import (ProblemSpec, evolution_problem, manufactured_linear,
+                            zero_field)
 from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 MESH_WITH_CENTER_NODE = """\
@@ -187,6 +192,50 @@ def test_mass_is_conserved_without_u_forcing():
     drift = np.abs(traj.mass - traj.mass[0]).max()
     assert drift <= 1e-10 * abs(traj.mass[0])
     assert len(traj.times) == 101
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), nodes=st.integers(10, 160),
+       strength=st.floats(0.1, 10.0), margin=st.floats(0.02, 0.5),
+       mode=st.sampled_from(["bootstrap", "exact"]),
+       seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_evolution_conserves_mass_and_solves_each_step(k, nodes, strength, margin,
+                                                       mode, seed, data):
+    # tau * lambda_max(M^-1 A) * max|F'| = margin keeps the extrapolated
+    # schemes inside the README's stability rule; F' = 4 s (3u^2 - 1) is at
+    # most 8 s in size for |u| <= 1. The 'exact' starts interpolate stated
+    # fields: here u0 at every start, so all k starts carry its mass.
+    problem = evolution_problem(strength=strength, seed=seed)
+    if mode == "exact":
+        problem = dataclasses.replace(problem, exact_u=problem.u0,
+                                      exact_w=zero_field)
+    mesh = generate_disk_mesh(nodes, 1.0)
+    M, A = assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh)
+    lam = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[-1]
+    tau = margin / (lam * 8.0 * strength)
+    n_steps = data.draw(st.integers(k, 12), label="n_steps")
+    scheme = bdf_scheme(k)
+    stepper = Stepper(problem, mesh, tau, scheme)
+    levels = [(u, w) for _, _, u, w in stepper.stream(0.0, n_steps,
+                                                      stepper.starts(mode, 0.0))]
+    us = [u for u, _ in levels]
+
+    # 1^T M u of a +/-1 field can nearly cancel; measure against 1^T M |u0|
+    scale = stepper.mass(np.abs(us[0]))
+    drift = max(abs(stepper.mass(u) - stepper.mass(us[0])) for u in us)
+    assert drift <= 1e-10 * scale
+
+    # K x = b for a sampled main-loop step n, with b rebuilt from the history
+    n = data.draw(st.integers(k, n_steps), label="step")
+    recent = us[n - k:n][::-1]
+    K = build_step_matrix(stepper.M, stepper.A, scheme.delta[0] / tau,
+                          stepper.order).matrix
+    tail = sum(d * u for d, u in zip(scheme.delta[1:], recent))
+    extrapolant = sum(g * u for g, u in zip(scheme.gamma, recent))
+    b = np.concatenate([-(stepper.M @ tail) / tau,
+                        stepper.M @ problem.nonlinearity(extrapolant)])
+    residual = np.abs(K @ np.concatenate(levels[n]) - b).max()
+    assert residual <= 1e-9 * np.abs(b).max()
 
 
 def test_energy_seminorm_decays_for_backward_euler():

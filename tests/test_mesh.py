@@ -305,3 +305,79 @@ def test_validate_edge_incidence_errors_in_check_order(case, message):
     validate_mesh(m)
     with pytest.raises(ValueError, match=message):
         validate_mesh(broken)
+
+
+def _reference_connectivity(target_nodes):
+    """Triangles and boundary edges of the ring mesher, merged one advance
+    at a time: the plain loop form of the vectorized construction."""
+    m = max(1, round(math.sqrt((target_nodes - 1) / math.pi) - 0.5))
+    c = 2.0 * (target_nodes - 1) / (m * (m + 1))
+    counts = [max(3, round(c * j)) for j in range(1, m + 1)]
+    rings, first = [], 1
+    for nj in counts:
+        rings.append(list(range(first, first + nj)))
+        first += nj
+    inner_ring = rings[0]
+    n0 = len(inner_ring)
+    triangles = [(0, inner_ring[q], inner_ring[(q + 1) % n0]) for q in range(n0)]
+    for j in range(1, m):
+        inner, outer = rings[j - 1], rings[j]
+        ni, no = len(inner), len(outer)
+        i = q = 0
+        while i < ni or q < no:
+            inner_next = 2.0 * math.pi * (i + 1) / ni
+            outer_next = 2.0 * math.pi * (q + 1) / no
+            if q < no and (i == ni or outer_next <= inner_next):
+                triangles.append((inner[i % ni], outer[q % no], outer[(q + 1) % no]))
+                q += 1
+            else:
+                triangles.append((inner[i % ni], outer[q % no], inner[(i + 1) % ni]))
+                i += 1
+    rim = rings[-1]
+    edges = [(rim[q], rim[(q + 1) % len(rim)]) for q in range(len(rim))]
+    return rings, np.array(triangles), np.array(edges)
+
+
+@pytest.mark.parametrize("radius", [1.0, 10.0])
+def test_mesher_matches_the_reference_merge(radius):
+    for target in [*range(4, 401), 2560, 10240]:
+        m = generate_disk_mesh(target, radius)
+        rings, triangles, edges = _reference_connectivity(target)
+        np.testing.assert_array_equal(m.triangles, triangles, err_msg=str(target))
+        np.testing.assert_array_equal(m.boundary_edges, edges, err_msg=str(target))
+        # node q of ring j sits at radius*j/m and angle 2*pi*q/n_j; libm
+        # results may differ in the last bits between platforms
+        expected = [(0.0, 0.0)]
+        for j, ring in enumerate(rings, start=1):
+            r = radius * j / len(rings)
+            for q in range(len(ring)):
+                a = 2.0 * math.pi * q / len(ring)
+                expected.append((r * math.cos(a), r * math.sin(a)))
+        np.testing.assert_allclose(m.nodes, expected, rtol=0,
+                                   atol=4 * np.finfo(float).eps * radius)
+
+
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+def test_mesher_rejects_a_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="positive and finite"):
+        generate_disk_mesh(5, radius)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_a_non_finite_node(value):
+    m = generate_disk_mesh(20, 1.0)
+    nodes = m.nodes.copy()
+    nodes[7, 1] = value
+    broken = Mesh2D(nodes=nodes, triangles=m.triangles,
+                    boundary_edges=m.boundary_edges, radius=1.0)
+    with pytest.raises(ValueError, match="node 7 has a non-finite coordinate"):
+        validate_mesh(broken)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_validate_rejects_a_non_finite_radius(radius):
+    m = generate_disk_mesh(20, 1.0)
+    broken = Mesh2D(nodes=m.nodes, triangles=m.triangles,
+                    boundary_edges=m.boundary_edges, radius=radius)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        validate_mesh(broken)
