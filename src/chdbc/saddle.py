@@ -2,22 +2,23 @@
 
 Every time step of the coupled system solves the same 2N x 2N block matrix
 
-    [[ (delta0/tau) M,  A ],
-     [ -A,               M ]]
+    K = [[ (delta0/tau) M,  A ],
+         [ -A,               M ]]
 
-so the sparse LU factorization is computed once at build time and reused for
+so a sparse LU factorization is computed once at build time and reused for
 the whole trajectory. Nonsingularity for any tau > 0 follows from M being
 positive definite and A positive semidefinite: a kernel vector (x, y) would
 satisfy y^T M y + (delta0/tau) x^T M x = 0.
 
-The factorization eliminates the unknowns in a geometric nested-dissection
-order of the mesh nodes (George 1973; Lipton, Rose and Tarjan 1979), with
-the u and w unknowns of each node next to each other, and the u unknowns
-scaled by (delta0/tau)^(-1/2) so that the scaled matrix has the symmetric
-part blockdiag(M, M) at every step size. SuperLU keeps that order and
-pivots on the diagonal unless a diagonal entry falls below PIVOT_THRESHOLD
-times the largest entry of its column. Why this is safe and accurate, and
-what it saves, is set out in the README's "Solver" section.
+With s = (delta0/tau)^(-1/2), K (u, w) = (b1, b2) is the complex N x N
+system (M - i s A) z = s b1 + i b2 with u = s Re z and w = Im z, and only
+the LU of M - i s A is stored. It eliminates the nodes in a geometric
+nested-dissection order (George 1973; Lipton, Rose and Tarjan 1979).
+SuperLU keeps that order and pivots on the diagonal unless a diagonal entry
+falls below PIVOT_THRESHOLD times the largest entry of its column; the
+Hermitian part of M - i s A is the positive definite M at every step size.
+Why this is safe and accurate, and what it saves, is set out in the
+README's "Solver" section.
 """
 
 from __future__ import annotations
@@ -85,23 +86,20 @@ def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _ordered_lu(matrix: sp.spmatrix, perm: np.ndarray, scale: np.ndarray):
-    """LU of `matrix` in the elimination order perm, scaled by `scale`.
+def _ordered_lu(matrix: sp.spmatrix, perm: np.ndarray):
+    """LU of `matrix` with its rows and columns taken in the order perm.
 
-    SuperLU factorizes S P matrix P^T S, where P takes rows and columns in
-    the order perm and S = diag(scale[perm]), keeping that order and
-    pivoting as the module docstring says. Returns the SuperLU handle and a
-    solve of matrix x = b through it.
+    SuperLU factorizes P matrix P^T, keeping that order and pivoting as the
+    module docstring says; the matrix may be real or complex. Returns the
+    SuperLU handle and a solve of matrix x = b through it.
     """
-    s = scale[perm]
-    S = sp.diags(s)
-    lu = spla.splu(sp.csc_matrix(S @ sp.csr_matrix(matrix)[perm][:, perm] @ S),
+    lu = spla.splu(sp.csc_matrix(sp.csr_matrix(matrix)[perm][:, perm]),
                    permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
                    options={"SymmetricMode": True})
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = np.empty_like(rhs)
-        x[perm] = s * lu.solve(s * rhs[perm])
+        x[perm] = lu.solve(rhs[perm])
         return x
 
     return lu, solve
@@ -110,62 +108,64 @@ def _ordered_lu(matrix: sp.spmatrix, perm: np.ndarray, scale: np.ndarray):
 def solve_ordered(matrix: sp.spmatrix, order: np.ndarray,
                   rhs: np.ndarray) -> np.ndarray:
     """One solve with a square matrix, factorized in the given node order."""
-    _, solve = _ordered_lu(matrix, order, np.ones(matrix.shape[0]))
+    _, solve = _ordered_lu(matrix, order)
     return solve(np.asarray(rhs, dtype=float))
 
 
 class StepMatrix:
-    """Assembled block matrix plus its sparse LU handle. Immutable after build.
+    """The step matrix K and the LU of its complex form. Immutable after build.
 
-    `matrix` is K in the blocked (u, w) numbering; `_lu` is the SuperLU
-    handle of its scaled, reordered copy and `_solve` solves K x = b
-    through it.
+    `matrix` assembles K in the blocked (u, w) numbering from M and A on
+    each read; `_lu` is the SuperLU handle of C = M - i s A, through which
+    `_solve` solves C z = b.
     """
 
-    def __init__(self, matrix: sp.csc_matrix, lu, solve,
-                 block_dim: int, delta0_over_tau: float):
-        self.matrix = matrix
+    def __init__(self, M: sp.spmatrix, A: sp.spmatrix, lu, solve,
+                 delta0_over_tau: float):
+        self._M, self._A = M, A
         self._lu = lu
         self._solve = solve
-        self.block_dim = block_dim
+        self.block_dim = M.shape[0]
         self.delta0_over_tau = delta0_over_tau
+
+    @property
+    def matrix(self) -> sp.csc_matrix:
+        """K = [[(delta0/tau) M, A], [-A, M]], built anew on each read."""
+        M, A = self._M, self._A
+        return sp.bmat([[self.delta0_over_tau * M, A], [-A, M]], format="csc")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs reusing the stored factorization."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (2 * self.block_dim,):
+        n = self.block_dim
+        if rhs.shape != (2 * n,):
             raise ValueError(
-                f"rhs length {rhs.shape} does not match system size "
-                f"{2 * self.block_dim}"
+                f"rhs length {rhs.shape} does not match system size {2 * n}"
             )
         if not np.isfinite(rhs).all():
             raise ValueError("rhs contains non-finite entries")
-        return self._solve(rhs)
+        s = self.delta0_over_tau ** -0.5
+        z = self._solve(s * rhs[:n] + 1j * rhs[n:])
+        return np.concatenate([s * z.real, z.imag])
 
 
 def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
                       order: np.ndarray) -> StepMatrix:
-    """Assemble and eagerly factorize the step matrix.
+    """Factorize the step matrix as the complex N x N matrix M - i s A.
 
-    Unknown ordering is blocked: the u coefficients come first, the w
-    coefficients second. The factorization eliminates the nodes in `order`
-    (from `nested_dissection_order`), the u and w unknowns of each node
-    next to each other, and scales the u unknowns by (delta0/tau)^(-1/2).
+    s = (delta0/tau)^(-1/2), and the nodes are eliminated in `order` (from
+    `nested_dissection_order`). The StepMatrix solves K x = b, u first.
     """
     if M.shape != A.shape or M.shape[0] != M.shape[1]:
         raise ValueError(f"M and A must be square and equal-sized, "
                          f"got {M.shape} and {A.shape}")
     if not (delta0_over_tau > 0):
         raise ValueError(f"delta0/tau must be positive, got {delta0_over_tau}")
-    n = M.shape[0]
-    K = sp.bmat([[delta0_over_tau * M, A], [-A, M]], format="csc")
-    perm = np.column_stack([order, order + n]).ravel()
-    scale = np.concatenate([np.full(n, delta0_over_tau ** -0.5), np.ones(n)])
     try:
-        lu, solve = _ordered_lu(K, perm, scale)
+        lu, solve = _ordered_lu(M - 1j * delta0_over_tau ** -0.5 * A, order)
     except RuntimeError as exc:
         raise RuntimeError(
             f"step matrix factorization failed ({exc}); the mass or "
             f"stiffness matrix is likely invalid"
         ) from exc
-    return StepMatrix(K, lu, solve, n, float(delta0_over_tau))
+    return StepMatrix(M, A, lu, solve, float(delta0_over_tau))

@@ -154,10 +154,12 @@ def test_no_edge_joins_the_halves_of_the_top_level_split():
 def test_nested_dissection_fills_less_than_the_default_ordering(delta0_over_tau):
     # 800 is the default evolve step; 7e4 and 1e7 are bootstrap BDF1 and
     # small-tau step scales, where unscaled threshold pivoting left the
-    # diagonal and filled more than the default ordering
+    # diagonal and filled more than the default ordering. Both sides count
+    # stored reals: an entry of the complex LU holds two.
     K = _disk_step_matrix(generate_disk_mesh(2560, 10.0), delta0_over_tau)
     default = spla.splu(K.matrix)
-    assert (K._lu.L.nnz + K._lu.U.nnz
+    reals = K._lu.L.dtype.itemsize // default.L.dtype.itemsize
+    assert (reals * (K._lu.L.nnz + K._lu.U.nnz)
             <= 0.8 * (default.L.nnz + default.U.nnz))
 
 
@@ -168,3 +170,34 @@ def test_ordered_solve_residual_over_step_scales(delta0_over_tau):
     rhs = np.random.default_rng(5).standard_normal(2 * mesh.node_count)
     x = K.solve(rhs)
     assert np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max() <= 1e-9
+
+
+@pytest.mark.parametrize("delta0_over_tau", [1e-3, 800.0, 1e7])
+def test_complex_solve_matches_the_block_matrix(delta0_over_tau):
+    # each block row is checked on its own, so a sign flip of i s A or a
+    # missing s on u shows in the row it breaks
+    mesh = generate_disk_mesh(2560, 1.0)
+    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
+    K = build_step_matrix(M, A, delta0_over_tau,
+                          nested_dissection_order(mesh.nodes, M))
+    rng = np.random.default_rng(9)
+    b1, b2 = rng.standard_normal((2, mesh.node_count))
+    rhs = np.concatenate([b1, b2])
+    x, ref = K.solve(rhs), spla.spsolve(K.matrix, rhs)
+    assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+    u, w = x[:mesh.node_count], x[mesh.node_count:]
+    assert (np.abs(delta0_over_tau * (M @ u) + A @ w - b1).max()
+            <= 1e-9 * np.abs(b1).max())
+    assert np.abs(-(A @ u) + M @ w - b2).max() <= 1e-9 * np.abs(b2).max()
+
+
+def test_step_matrix_holds_no_block_matrix():
+    # K is built on demand from M and A, which the stepper already holds
+    mesh = generate_disk_mesh(320, 1.0)
+    K = _disk_step_matrix(mesh, 800.0)
+    held = list(vars(K).values())
+    held += [c.cell_contents for v in held
+             for c in getattr(v, "__closure__", None) or ()]
+    shape = (2 * mesh.node_count,) * 2
+    assert K.matrix.shape == shape
+    assert not any(sp.issparse(v) and v.shape == shape for v in held)
