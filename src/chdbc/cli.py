@@ -94,9 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="time step size, repeatable "
                            f"(default {','.join(map(str, DEFAULT_TAUS))})")
     conv.add_argument("--T", type=float, default=1.0, help="final time (default 1)")
-    conv.add_argument("--radius", type=float, default=1.0,
-                      help="disk radius (must stay 1: the manufactured "
-                           "forcings are derived on the unit disk)")
     conv.add_argument("--start-mode", choices=["exact", "bootstrap"], default="exact")
     conv.add_argument("--out", default=None, help="CSV path (default stdout)")
 
@@ -104,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "evolve",
         help="phase separation run, emits snapshot and diagnostics CSVs",
     )
-    evo.add_argument("--problem", default="evolution", choices=["evolution"])
     # k=1 default: the extrapolated k>=2 variants sit outside their linear
     # stability region at the default 640-node/radius-10/tau=0.00125 setup.
     evo.add_argument("--k", type=int, default=1, choices=[1, 2, 3],
@@ -119,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     evo.add_argument("--snapshots", type=_parse_float_list,
                      default=list(DEFAULT_SNAPSHOT_TIMES),
                      help="comma list of snapshot times")
-    evo.add_argument("--start-mode", choices=["exact", "bootstrap"],
-                     default="bootstrap")
     evo.add_argument("--out", required=True, help="output directory")
     evo.add_argument("--vtk", action="store_true",
                      help="additionally write legacy-ASCII VTK snapshots")
@@ -134,9 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _step_count(tau: float, T: float, k: int, parser, what: str) -> int:
+def _on_grid(parser, what: str, rule: Callable[..., int], *args) -> int:
+    # rule is integrator's step_count or step_index; a rejection is a usage error
     try:
-        return integrator.step_count(tau, T, k)
+        return rule(*args)
     except ValueError as exc:
         parser.error(f"{what}: {exc}")
 
@@ -154,14 +149,12 @@ def cmd_convergence(args, parser) -> int:
         parser.error("no refinements given")
     if any(i < 1 or i > 8 for i in args.refinements):
         parser.error("refinement indices must lie in [1, 8]")
-    if args.radius != 1.0:
-        parser.error("manufactured problems are posed on the unit disk; "
-                     "--radius must be 1")
     for tau in taus:
-        _step_count(tau, args.T, args.k, parser, "convergence")
+        _on_grid(parser, "convergence", integrator.step_count, tau, args.T, args.k)
     problem = problems.problem_by_name(args.problem)
     scheme = integrator.bdf_scheme(args.k)
-    meshes = [(i, meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, args.radius))
+    # the manufactured forcings are derived on the unit disk
+    meshes = [(i, meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, 1.0))
               for i in sorted(set(args.refinements))]
 
     rows = [["i", "nodes", "h", "tau", "err_L2", "err_H1", "eoc_L2", "eoc_H1"]]
@@ -220,14 +213,13 @@ def cmd_evolve(args, parser) -> int:
         parser.error(f"--strength must be positive, got {args.strength}")
     if not 0 <= args.seed < 2 ** 64:
         parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
-    n_steps = _step_count(args.tau, args.T, args.k, parser, "evolve")
+    n_steps = _on_grid(parser, "evolve", integrator.step_count,
+                       args.tau, args.T, args.k)
     snap_steps = {}
     for t in args.snapshots:
-        idx = round(t / args.tau)
-        if abs(idx * args.tau - t) > 1e-9 or not (0 <= idx <= n_steps):
-            parser.error(
-                f"snapshot time {t} is not a step multiple within [0, {args.T}]"
-            )
+        idx = _on_grid(parser, "--snapshots", integrator.step_index, t, args.tau)
+        if not 0 <= idx <= n_steps:
+            parser.error(f"--snapshots: time {t} lies outside [0, {args.T}]")
         snap_steps[idx] = t
 
     problem = problems.evolution_problem(strength=args.strength, seed=args.seed)
@@ -239,8 +231,7 @@ def cmd_evolve(args, parser) -> int:
     stepper = integrator.Stepper(problem, m, args.tau, scheme)
     snapshots = {}
     diagnostics = [["t", "mass", "energy"]]
-    for n, t, u, _ in stepper.stream(0.0, n_steps,
-                                     stepper.starts(args.start_mode, 0.0)):
+    for n, t, u, _ in stepper.stream(0.0, n_steps, stepper.starts("bootstrap")):
         if n in snap_steps:
             snapshots[n] = u
         diagnostics.append([t, stepper.mass(u), stepper.energy(u)])

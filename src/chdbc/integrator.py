@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, inf, isfinite
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,17 +102,25 @@ class Trajectory:
         return self.w_history[-1]
 
 
+def step_index(t: float, tau: float) -> int:
+    """The n with n tau = t to within 1e-12 max(1, |t|): the one time-grid rule."""
+    if not (0 < tau < inf):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not isfinite(t / tau):
+        raise ValueError(f"time {t} is not a finite multiple of tau={tau}")
+    n = round(t / tau)
+    if abs(n * tau - t) > 1e-12 * max(1.0, abs(t)):
+        raise ValueError(f"tau={tau} does not divide the time {t}")
+    return n
+
+
 def step_count(tau: float, span: float, k: int) -> int:
-    """Number of steps of size tau in span: the one time-grid check.
+    """Number of steps of size tau in span, by the `step_index` rule.
 
     The starting values fill the first k-1 steps, so a k-step run needs at
     least k-1 steps, and every run at least one.
     """
-    if not (tau > 0):
-        raise ValueError(f"tau must be positive, got {tau}")
-    n_steps = round(span / tau)
-    if abs(n_steps * tau - span) > 1e-12 * max(1.0, abs(span)):
-        raise ValueError(f"tau={tau} does not divide the time span {span}")
+    n_steps = step_index(span, tau)
     need = max(1, k - 1)
     if n_steps < need:
         raise ValueError(f"tau={tau} gives {n_steps} step(s) over the time span "
@@ -215,9 +223,8 @@ class Stepper:
         except ValueError as exc:
             raise RuntimeError(f"aborted at step {n} (t = {t}): {exc}") from exc
 
-    def starts(self, mode: str, t_start: float
-               ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """The k starting pairs (u^j, w^j) at t_start + j tau, j = 0..k-1.
+    def starts(self, mode: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The k starting pairs (u^j, w^j) at t = j tau, j = 0..k-1.
 
         mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
         u^0 from the initial data, recovers w^0 from the algebraic constraint,
@@ -230,17 +237,15 @@ class Stepper:
             if not problem.has_exact_solution:
                 raise ValueError("start mode 'exact' needs exact solutions")
             for j in range(k):
-                yield (
-                    assembly.nodal_interpolate(problem.exact_u, mesh, t_start + j * tau),
-                    assembly.nodal_interpolate(problem.exact_w, mesh, t_start + j * tau),
-                )
+                yield (assembly.nodal_interpolate(problem.exact_u, mesh, j * tau),
+                       assembly.nodal_interpolate(problem.exact_w, mesh, j * tau))
             return
         if mode != "bootstrap":
             raise ValueError(f"start mode must be 'exact' or 'bootstrap', got {mode!r}")
 
-        # Second block equation at t_start: M w = A u + b2 (+ nonlinear term).
-        u = assembly.nodal_interpolate(problem.u0, mesh, t_start)
-        rhs = self.A @ u + self.loads(t_start)[1]
+        # Second block equation at t = 0: M w = A u + b2 (+ nonlinear term).
+        u = assembly.nodal_interpolate(problem.u0, mesh, 0.0)
+        rhs = self.A @ u + self.loads(0.0)[1]
         if problem.kind == "nonlinear":
             rhs = rhs + assembly.nonlinearity_vector(self.M, problem.nonlinearity, u)
         yield u, solve_ordered(self.M, self.order, rhs)
@@ -251,9 +256,8 @@ class Stepper:
         one = bdf_scheme(1)
         K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub, self.order)
         for j in range(1, k):
-            t = t_start + (j - 1) * tau
             for s in range(1, m + 1):
-                u, w = self._advance(K1, one, [u], j, t + s * sub)
+                u, w = self._advance(K1, one, [u], j, (j - 1) * tau + s * sub)
             yield u, w
 
     def stream(self, t_start: float, n_steps: int,
@@ -279,35 +283,20 @@ class Stepper:
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
-        scheme: Optional[BDFScheme] = None, start_mode: str = "auto",
-        t_start: float = 0.0,
-        starting_pairs: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None,
-        ) -> Trajectory:
-    """Advance the problem from t_start to T and record the trajectory.
+        scheme: BDFScheme, start_mode: str = "auto") -> Trajectory:
+    """Advance the problem from t = 0 to T and record the trajectory.
 
     start_mode 'auto' picks 'exact' when the problem has an exact solution
-    and 'bootstrap' otherwise. `starting_pairs` overrides both with caller
-    supplied (u, w) pairs (newest last), which the self-convergence
-    harness uses to seed runs from a reference trajectory.
+    and 'bootstrap' otherwise. A run seeded with other starting values, or
+    from a later time, is `Stepper.stream` with those values.
     """
-    if scheme is None:
-        scheme = bdf_scheme(3)
-    n_steps = step_count(tau, T - t_start, scheme.k)
+    n_steps = step_count(tau, T, scheme.k)
     stepper = Stepper(problem, mesh, tau, scheme)
-    if starting_pairs is not None:
-        if len(starting_pairs) != scheme.k:
-            raise ValueError(
-                f"need {scheme.k} starting pairs, got {len(starting_pairs)}"
-            )
-        starts = [(np.asarray(u, dtype=float), np.asarray(w, dtype=float))
-                  for u, w in starting_pairs]
-    else:
-        if start_mode == "auto":
-            start_mode = "exact" if problem.has_exact_solution else "bootstrap"
-        starts = stepper.starts(start_mode, t_start)
+    if start_mode == "auto":
+        start_mode = "exact" if problem.has_exact_solution else "bootstrap"
 
     times, u_hist, w_hist = [], [], []
-    for _, t, u, w in stepper.stream(t_start, n_steps, starts):
+    for _, t, u, w in stepper.stream(0.0, n_steps, stepper.starts(start_mode)):
         times.append(t)
         u_hist.append(u)
         w_hist.append(w)

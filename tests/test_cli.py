@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chdbc import cli
+from chdbc import cli, mesh as meshmod
 from chdbc.cli import _csv, main
 from chdbc.integrator import bdf_scheme, run
 from chdbc.mesh import generate_disk_mesh, import_mesh, validate_mesh
@@ -208,12 +208,51 @@ def test_convergence_rejects_out_of_range_refinement(tmp_path):
     assert exc.value.code == 2
 
 
-def test_convergence_rejects_non_unit_radius(tmp_path):
-    # the manufactured forcings encode the unit circle's curvature
+@pytest.mark.parametrize("command", [
+    ["evolve", "--T", "inf"],
+    ["evolve", "--T", "nan"],
+    ["evolve", "--snapshots", "inf"],
+    ["evolve", "--snapshots", "nan"],
+    ["convergence", "--problem", "linear", "--T", "inf"],
+    ["convergence", "--problem", "linear", "--T", "nan"],
+])
+def test_a_non_finite_time_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    # rejected by the time-grid rule, named, before a mesh is built
+    built = []
+    monkeypatch.setattr(meshmod, "generate_disk_mesh",
+                        lambda *args: built.append(args))
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["convergence", "--problem", "linear", "--radius", "2",
-              "--tau", "0.01", "--out", str(tmp_path / "t.csv")])
+        main(command + ["--out", str(out)])
     assert exc.value.code == 2
+    assert f"time {command[-1]} " in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
+def test_snapshot_times_follow_the_step_count_rule(tmp_path, capsys):
+    # 5e-11 off the grid: outside step_index's 1e-12 * max(1, |t|)
+    out = tmp_path / "evo"
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--nodes", "80", "--k", "1", "--tau", "0.0125",
+              "--T", "0.025", "--snapshots", "0,0.01250000005",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "does not divide the time 0.01250000005" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--start-mode", "bootstrap"],
+    ["evolve", "--problem", "evolution"],
+    ["convergence", "--problem", "linear", "--radius", "1"],
+])
+def test_removed_settings_are_unknown_flags(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("problem", ["linear", "nonlinear"])

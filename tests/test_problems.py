@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -79,7 +80,6 @@ def test_residual_oracle_accepts_both_manufactured_problems():
 def test_residual_oracle_catches_sign_error():
     good = manufactured_linear()
     bad = ProblemSpec(
-        kind="linear",
         f1_bulk=lambda x, y, t: -good.f1_bulk(x, y, t),
         f2_bulk=good.f2_bulk,
         f1_surf=good.f1_surf,
@@ -165,11 +165,11 @@ def test_problem_by_name():
         problem_by_name("stokes")
 
 
-def test_kind_nonlinearity_consistency():
+def test_kind_follows_the_nonlinearity():
+    # linear exactly when the nonlinearity is the zero map itself
     assert manufactured_linear().nonlinearity is zero_map
-    with pytest.raises(ValueError):
-        ProblemSpec(kind="linear", nonlinearity=lambda u: u)
-    with pytest.raises(ValueError):
-        ProblemSpec(kind="nonlinear")
-    with pytest.raises(ValueError):
-        ProblemSpec(kind="parabolic")
+    assert ProblemSpec().kind == "linear"
+    assert ProblemSpec(nonlinearity=lambda u: 0.0 * u).kind == "nonlinear"
+    assert evolution_problem().kind == "nonlinear"
+    spec = dataclasses.replace(manufactured_nonlinear(), nonlinearity=zero_map)
+    assert spec.kind == "linear"

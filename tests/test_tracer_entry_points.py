@@ -1,0 +1,51 @@
+"""The benchmark tracer's view of the package.
+
+`benchmarks/tracing.py` wraps chdbc's entry points by name and reads the
+step matrix's LU handle and block matrix. A rename there turns its per-layer
+metrics into `missing` without failing a run, so these tests pin every name
+it reads. The tracer is loaded by path and never installed.
+"""
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+from chdbc.assembly import assemble_mass, assemble_stiffness
+from chdbc.mesh import generate_disk_mesh
+from chdbc.saddle import build_step_matrix, nested_dissection_order
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("chdbc_benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_in_the_package(tracing):
+    names = [(module, attr) for _, module, attr in tracing.ENTRY_POINTS]
+    names += list(tracing.FACTORIES)
+    for module, attr in names:
+        assert module.split(".")[0] == "chdbc"
+        assert tracing._resolve(module, attr) is not None, f"{module}.{attr} is gone"
+
+
+def test_step_matrix_exposes_the_lu_and_the_block_matrix(tracing):
+    mesh = generate_disk_mesh(40, 1.0)
+    M = assemble_mass(mesh)
+    K = build_step_matrix(M, assemble_stiffness(mesh), 800.0,
+                          nested_dissection_order(mesh.nodes, M))
+    assert K._lu.L.nnz > 0 and K._lu.U.nnz > 0
+    assert tracing._lu_nnz(K) == K._lu.L.nnz + K._lu.U.nnz
+    n = 2 * mesh.node_count
+    assert K.matrix.shape == (n, n)
+    # the tracer's sampled residual: ||K x - b|| for a real 2N b and x
+    rhs = np.random.default_rng(0).standard_normal(n)
+    x = K.solve(rhs)
+    assert x.shape == (n,) and x.dtype == np.float64
+    assert np.abs(K.matrix @ x - rhs).max() <= 1e-9 * np.abs(rhs).max()
