@@ -59,18 +59,14 @@ def _write_files(files: Iterable[Tuple[str, Callable[[], str]]]) -> None:
         raise
 
 
-def _parse_int_list(text: str) -> List[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_float_list(text: str) -> List[float]:
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _list_of(convert: Callable, kind: str) -> Callable[[str], list]:
+    # an argparse type for a comma-separated list of `kind`
+    def parse(text: str) -> list:
+        try:
+            return [convert(p) for p in text.split(",") if p.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--problem", required=True, choices=["linear", "nonlinear"])
     conv.add_argument("--k", type=int, default=3, choices=[1, 2, 3],
                       help="BDF order (default 3)")
-    conv.add_argument("--refinements", type=_parse_int_list, default=[1, 2, 3, 4, 5],
+    conv.add_argument("--refinements", type=_list_of(int, "integers"),
+                      default=[1, 2, 3, 4, 5],
                       help="comma list of refinement indices i (nodes = 2^i*10)")
     conv.add_argument("--tau", type=float, action="append", default=None,
                       help="time step size, repeatable "
@@ -112,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     evo.add_argument("--seed", type=int, default=0)
     evo.add_argument("--strength", type=float, default=10.0,
                      help="double-well strength s in W(u) = s (u^2-1)^2")
-    evo.add_argument("--snapshots", type=_parse_float_list,
+    evo.add_argument("--snapshots", type=_list_of(float, "numbers"),
                      default=list(DEFAULT_SNAPSHOT_TIMES),
                      help="comma list of snapshot times")
     evo.add_argument("--out", required=True, help="output directory")
@@ -226,20 +223,16 @@ def cmd_evolve(args, parser) -> int:
     m = meshmod.generate_disk_mesh(args.nodes, args.radius)
     scheme = integrator.bdf_scheme(args.k)
 
-    # Only the requested snapshots and one diagnostics row per step are
-    # kept; the files are written once the run has succeeded.
-    stepper = integrator.Stepper(problem, m, args.tau, scheme)
-    snapshots = {}
-    diagnostics = [["t", "mass", "energy"]]
-    for n, t, u, _ in stepper.stream(0.0, n_steps, stepper.starts("bootstrap")):
-        if n in snap_steps:
-            snapshots[n] = u
-        diagnostics.append([t, stepper.mass(u), stepper.energy(u)])
+    # Only the requested snapshots and the per-step diagnostics are kept;
+    # the files are written once the run has succeeded.
+    traj = integrator.run(problem, m, args.tau, args.T, scheme,
+                          start_mode="bootstrap", keep=snap_steps)
+    diagnostics = [["t", "mass", "energy"], *zip(
+        traj.times.tolist(), traj.mass.tolist(), traj.energy.tolist())]
 
     os.makedirs(args.out, exist_ok=True)
     files = []
-    for idx in sorted(snap_steps):
-        t, u = snap_steps[idx], snapshots[idx]
+    for (_, t), u in zip(sorted(snap_steps.items()), traj.snapshots):
         stem = os.path.join(args.out, f"snapshot_t{t:g}")
         files.append((stem + ".csv", partial(_snapshot_csv, m, u)))
         if args.vtk:

@@ -5,7 +5,7 @@ linearly implicit variant evaluates the nonlinearity at the extrapolated
 value built from the k previous steps, so every step solves one constant
 linear saddle system. `bdf_step` is that step. A `Stepper` feeds it for the
 starting values and for the main loop and streams the time levels; `run`
-collects the stream into a `Trajectory`.
+drives that stream into a `Trajectory` of diagnostics and kept states.
 """
 
 from __future__ import annotations
@@ -79,27 +79,23 @@ def bdf_scheme(k: int) -> BDFScheme:
 
 @dataclass
 class Trajectory:
-    """Time-indexed nodal solution vectors plus per-step diagnostics.
+    """What one run keeps: per-step diagnostics, the final state and snapshots.
 
-    M and A are the run's mass (bulk plus surface) and stiffness matrices,
-    which the error norms reuse.
+    times, mass and energy (None when the problem has no potential) hold one
+    entry per time level; u_final and w_final are the last level, and
+    snapshots holds u at each step the caller asked `run` to keep, in step
+    order. M and A are the run's mass (bulk plus surface) and stiffness
+    matrices, which the error norms reuse.
     """
 
     times: np.ndarray
-    u_history: List[np.ndarray]
-    w_history: List[np.ndarray]
     mass: np.ndarray
+    energy: Optional[np.ndarray]
+    u_final: np.ndarray
+    w_final: np.ndarray
+    snapshots: List[np.ndarray]
     M: sp.spmatrix
     A: sp.spmatrix
-    energy: Optional[np.ndarray] = None
-
-    @property
-    def u_final(self) -> np.ndarray:
-        return self.u_history[-1]
-
-    @property
-    def w_final(self) -> np.ndarray:
-        return self.w_history[-1]
 
 
 def step_index(t: float, tau: float) -> int:
@@ -283,26 +279,35 @@ class Stepper:
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
-        scheme: BDFScheme, start_mode: str = "auto") -> Trajectory:
-    """Advance the problem from t = 0 to T and record the trajectory.
+        scheme: BDFScheme, start_mode: str = "auto",
+        keep: Iterable[int] = ()) -> Trajectory:
+    """Advance the problem from t = 0 to T, streaming its diagnostics.
 
+    Each time level adds its time, mass and (when the problem has a
+    potential) energy to the trajectory and is then dropped, unless its step
+    index is in `keep`: those u are kept as snapshots. An index outside
+    [0, n_steps] is a ValueError, raised before anything is assembled.
     start_mode 'auto' picks 'exact' when the problem has an exact solution
     and 'bootstrap' otherwise. A run seeded with other starting values, or
     from a later time, is `Stepper.stream` with those values.
     """
     n_steps = step_count(tau, T, scheme.k)
+    keep = set(keep)
+    for n in keep:
+        if n not in range(n_steps + 1):
+            raise ValueError(f"cannot keep step {n!r}: the run has steps 0..{n_steps}")
     stepper = Stepper(problem, mesh, tau, scheme)
     if start_mode == "auto":
         start_mode = "exact" if problem.has_exact_solution else "bootstrap"
 
-    times, u_hist, w_hist = [], [], []
-    for _, t, u, w in stepper.stream(0.0, n_steps, stepper.starts(start_mode)):
-        times.append(t)
-        u_hist.append(u)
-        w_hist.append(w)
-    mass = np.array([stepper.mass(u) for u in u_hist])
-    energy = None
-    if problem.potential is not None:
-        energy = np.array([stepper.energy(u) for u in u_hist])
-    return Trajectory(times=np.array(times), u_history=u_hist, w_history=w_hist,
-                      mass=mass, M=stepper.M, A=stepper.A, energy=energy)
+    times, mass = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    energy = None if problem.potential is None else np.empty(n_steps + 1)
+    snapshots = []
+    for n, t, u, w in stepper.stream(0.0, n_steps, stepper.starts(start_mode)):
+        times[n], mass[n] = t, stepper.mass(u)
+        if energy is not None:
+            energy[n] = stepper.energy(u)
+        if n in keep:
+            snapshots.append(u)
+    return Trajectory(times=times, mass=mass, energy=energy, u_final=u,
+                      w_final=w, snapshots=snapshots, M=stepper.M, A=stepper.A)

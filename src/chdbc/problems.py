@@ -223,11 +223,10 @@ def verify_manufactured(spec: ProblemSpec, sample_points: Sequence,
 
 
 def problem_by_name(name: str) -> ProblemSpec:
-    """CLI problem selection: 'linear', 'nonlinear', or 'evolution'."""
+    """The manufactured problem `convergence` runs: 'linear' or 'nonlinear'."""
     factories = {
         "linear": manufactured_linear,
         "nonlinear": manufactured_nonlinear,
-        "evolution": evolution_problem,
     }
     if name not in factories:
         raise ValueError(

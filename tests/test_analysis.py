@@ -121,8 +121,9 @@ def test_final_error_zero_for_interpolated_exact_solution():
     times = np.array([0.0, 0.5, 1.0])
     uh = [assembly.nodal_interpolate(problem.exact_u, mesh, t) for t in times]
     wh = [assembly.nodal_interpolate(problem.exact_w, mesh, t) for t in times]
-    traj = Trajectory(times=times, u_history=uh, w_history=wh,
-                      mass=np.zeros(3), M=assembly.assemble_mass(mesh),
+    traj = Trajectory(times=times, mass=np.zeros(3), energy=None,
+                      u_final=uh[-1], w_final=wh[-1], snapshots=[],
+                      M=assembly.assemble_mass(mesh),
                       A=assembly.assemble_stiffness(mesh))
     report = final_error(traj, problem, mesh)
     assert report.err_L2 == 0.0 and report.err_H1 == 0.0
@@ -133,10 +134,10 @@ def test_final_error_zero_for_interpolated_exact_solution():
 
 def test_final_error_requires_exact_solution():
     mesh = generate_disk_mesh(20, 1.0)
-    traj = Trajectory(times=np.array([0.0]),
-                      u_history=[np.zeros(mesh.node_count)],
-                      w_history=[np.zeros(mesh.node_count)],
-                      mass=np.zeros(1), M=assembly.assemble_mass(mesh),
+    traj = Trajectory(times=np.array([0.0]), mass=np.zeros(1), energy=None,
+                      u_final=np.zeros(mesh.node_count),
+                      w_final=np.zeros(mesh.node_count), snapshots=[],
+                      M=assembly.assemble_mass(mesh),
                       A=assembly.assemble_stiffness(mesh))
     with pytest.raises(ValueError, match="exact"):
         final_error(traj, evolution_problem(), mesh)

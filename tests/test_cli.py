@@ -208,6 +208,21 @@ def test_convergence_rejects_out_of_range_refinement(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,message", [
+    (["convergence", "--problem", "linear", "--refinements", "1,x"],
+     "argument --refinements: expected comma-separated integers, got '1,x'"),
+    (["evolve", "--snapshots", "0,x"],
+     "argument --snapshots: expected comma-separated numbers, got '0,x'"),
+])
+def test_a_malformed_list_is_a_usage_error(tmp_path, capsys, command, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert message + "\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["evolve", "--T", "inf"],
     ["evolve", "--T", "nan"],
@@ -343,11 +358,12 @@ def test_streamed_evolve_csvs_equal_those_rendered_from_run(tmp_path):
     assert rc == 0
     mesh = generate_disk_mesh(160, 1.0)
     traj = run(evolution_problem(seed=3), mesh, 1e-5, 2e-4, bdf_scheme(2),
-               start_mode="bootstrap")
-    for t, idx in ((0.0, 0), (1e-5, 1), (2e-4, 20)):
+               start_mode="bootstrap", keep=[0, 1, 20])
+    assert len(traj.snapshots) == 3
+    for t, u in zip((0.0, 1e-5, 2e-4), traj.snapshots):
         rows = [["x", "y", "u"]]
         rows += [[float(x), float(y), float(v)]
-                 for (x, y), v in zip(mesh.nodes, traj.u_history[idx])]
+                 for (x, y), v in zip(mesh.nodes, u)]
         assert read(out / f"snapshot_t{t:g}.csv") == _csv(rows).encode()
     rows = [["t", "mass", "energy"]]
     rows += [[float(t), float(q), float(e)]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,11 +118,11 @@ def test_step_requires_exact_history_length():
 def test_exact_starting_values_sample_the_solution():
     mesh = import_mesh(MESH_WITH_CENTER_NODE)
     tau, k = 0.0025, 3
-    # (k - 1) steps: the run holds the k exact starts and nothing else
-    traj = run(manufactured_linear(), mesh, tau, (k - 1) * tau, bdf_scheme(k),
-               start_mode="exact")
-    assert len(traj.u_history) == k
-    for j, (u, w) in enumerate(zip(traj.u_history, traj.w_history)):
+    # (k - 1) steps: the stream holds the k exact starts and nothing else
+    stepper = Stepper(manufactured_linear(), mesh, tau, bdf_scheme(k))
+    levels = list(stepper.stream(0.0, k - 1, stepper.starts("exact")))
+    assert len(levels) == k
+    for j, (_, _, u, w) in enumerate(levels):
         assert u[2] == pytest.approx(0.25 * math.exp(-j * tau), rel=1e-14)
         np.testing.assert_array_equal(u, w)
 
@@ -167,8 +168,10 @@ def test_zero_problem_yields_zero_trajectory():
     problem = ProblemSpec()
     mesh = generate_disk_mesh(20, 1.0)
     traj = run(problem, mesh, 0.01, 0.2, bdf_scheme(2), start_mode="bootstrap")
-    for u, w in zip(traj.u_history, traj.w_history):
+    stepper = Stepper(problem, mesh, 0.01, bdf_scheme(2))
+    for _, _, u, w in stepper.stream(0.0, 20, stepper.starts("bootstrap")):
         assert np.all(u == 0.0) and np.all(w == 0.0)
+    assert np.all(traj.u_final == 0.0) and np.all(traj.w_final == 0.0)
     assert len(traj.times) == 21
     np.testing.assert_allclose(np.diff(traj.times), 0.01, rtol=1e-12)
 
@@ -243,10 +246,11 @@ def test_energy_seminorm_decays_for_backward_euler():
     mesh = generate_disk_mesh(80, 1.0)
     u0 = evolution_problem(seed=11).u0
     problem = ProblemSpec(u0=u0)
-    traj = run(problem, mesh, 0.005, 200 * 0.005, bdf_scheme(1),
-               start_mode="bootstrap")
+    stepper = Stepper(problem, mesh, 0.005, bdf_scheme(1))
+    levels = stepper.stream(0.0, step_count(0.005, 200 * 0.005, 1),
+                            stepper.starts("bootstrap"))
     A = assembly.assemble_stiffness(mesh)
-    e = [0.5 * float(u @ (A @ u)) for u in traj.u_history]
+    e = [0.5 * float(u @ (A @ u)) for _, _, u, _ in levels]
     diffs = np.diff(e)
     assert (diffs <= 1e-12).all()
     assert e[-1] < e[0]
@@ -276,20 +280,21 @@ def test_temporal_self_convergence_orders(k, window):
     M = assembly.assemble_mass(mesh)
     scheme = bdf_scheme(k)
     tau_ref = 0.0025
-    ref = run(problem, mesh, tau_ref, 1.0, scheme, start_mode="exact")
+    ref_stepper = Stepper(problem, mesh, tau_ref, scheme)
+    ref = [(u, w) for _, _, u, w in ref_stepper.stream(
+        0.0, step_count(tau_ref, 1.0, k), ref_stepper.starts("exact"))]
     t_off = 0.08
     i0 = round(t_off / tau_ref)
     taus = [0.04, 0.02, 0.01]
     errs = []
     for tau in taus:
         stride = round(tau / tau_ref)
-        starts = [(ref.u_history[i0 + j * stride], ref.w_history[i0 + j * stride])
-                  for j in range(k)]
+        starts = [ref[i0 + j * stride] for j in range(k)]
         stepper = Stepper(problem, mesh, tau, scheme)
         n_steps = step_count(tau, 1.0 - t_off, scheme.k)
         for _, _, u, _ in stepper.stream(t_off, n_steps, starts):
             pass  # u ends as the level at t = 1
-        errs.append(analysis.l2_norm(M, u - ref.u_final))
+        errs.append(analysis.l2_norm(M, u - ref[-1][0]))
     for e1, e2, t1, t2 in zip(errs, errs[1:], taus, taus[1:]):
         order = math.log(e1 / e2) / math.log(t1 / t2)
         assert window[0] <= order <= window[1]
@@ -321,6 +326,59 @@ def test_trajectory_diagnostics_shapes():
     mesh = generate_disk_mesh(40, 1.0)
     traj = run(problem, mesh, 1e-5, 20e-5, bdf_scheme(2), start_mode="bootstrap")
     assert traj.energy is not None
-    assert len(traj.mass) == len(traj.times) == len(traj.u_history) == 21
+    assert len(traj.mass) == len(traj.times) == len(traj.energy) == 21
+    assert traj.snapshots == []  # nothing kept unless asked for
     lin = run(manufactured_linear(), mesh, 0.01, 0.1, bdf_scheme(2))
     assert lin.energy is None  # no potential declared
+
+
+def test_run_memory_does_not_grow_with_the_step_count():
+    # 100 against 400 steps at 640 nodes. Storing every u and w would add
+    # 2 N doubles per step, about 3 MB over the 300 extra steps.
+    problem = manufactured_linear()
+    mesh = generate_disk_mesh(640, 1.0)
+    peaks = []
+    for T in (0.25, 1.0):
+        tracemalloc.start()
+        try:
+            run(problem, mesh, 0.0025, T, bdf_scheme(3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def test_run_keeps_u_at_exactly_the_named_steps_in_step_order():
+    problem = evolution_problem(seed=4)
+    mesh = generate_disk_mesh(40, 1.0)
+    tau, scheme = 1e-5, bdf_scheme(2)
+    traj = run(problem, mesh, tau, 10 * tau, scheme, keep=[7, 0, 3, 10, 3])
+    stepper = Stepper(problem, mesh, tau, scheme)
+    us = [u for _, _, u, _ in stepper.stream(0.0, 10, stepper.starts("bootstrap"))]
+    assert len(traj.snapshots) == 4
+    for n, u in zip([0, 3, 7, 10], traj.snapshots):
+        np.testing.assert_array_equal(u, us[n])
+
+
+def test_run_final_state_is_the_last_level_of_the_stream():
+    problem = manufactured_linear()
+    mesh = generate_disk_mesh(40, 1.0)
+    tau, scheme = 0.01, bdf_scheme(3)
+    traj = run(problem, mesh, tau, 0.1, scheme, keep=[10])
+    stepper = Stepper(problem, mesh, tau, scheme)
+    *_, (n, t, u, w) = stepper.stream(0.0, 10, stepper.starts("exact"))
+    assert (n, t) == (10, traj.times[-1])
+    np.testing.assert_array_equal(traj.u_final, u)
+    np.testing.assert_array_equal(traj.w_final, w)
+    np.testing.assert_array_equal(traj.snapshots[0], u)
+
+
+@pytest.mark.parametrize("bad", [-1, 11, 2.5])
+def test_run_names_a_step_it_cannot_keep_before_assembling(monkeypatch, bad):
+    def no_assembly(*args):
+        raise AssertionError("run assembled before checking keep")
+
+    mesh = generate_disk_mesh(20, 1.0)
+    monkeypatch.setattr(integrator, "Stepper", no_assembly)
+    with pytest.raises(ValueError, match=rf"step {bad}: the run has steps 0\.\.10"):
+        run(manufactured_linear(), mesh, 0.01, 0.1, bdf_scheme(2), keep=[3, bad])

@@ -1,9 +1,10 @@
 """The benchmark tracer's view of the package.
 
-`benchmarks/tracing.py` wraps chdbc's entry points by name and reads the
-step matrix's LU handle and block matrix. A rename there turns its per-layer
-metrics into `missing` without failing a run, so these tests pin every name
-it reads. The tracer is loaded by path and never installed.
+`benchmarks/tracing.py` wraps chdbc's entry points by name, reads the
+step matrix's LU handle and block matrix, and sizes the trajectory `run`
+returns. A rename there turns its per-layer metrics into `missing` without
+failing a run, so these tests pin every name it reads. The tracer is loaded
+by path and never installed.
 """
 
 import importlib.util
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from chdbc.assembly import assemble_mass, assemble_stiffness
+from chdbc.integrator import bdf_scheme, run
 from chdbc.mesh import generate_disk_mesh
+from chdbc.problems import manufactured_linear
 from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -49,3 +52,13 @@ def test_step_matrix_exposes_the_lu_and_the_block_matrix(tracing):
     x = K.solve(rhs)
     assert x.shape == (n,) and x.dtype == np.float64
     assert np.abs(K.matrix @ x - rhs).max() <= 1e-9 * np.abs(rhs).max()
+
+
+def test_trajectory_bytes_count_every_state_a_run_holds(tracing):
+    # integrator.trajectory_mb must not drop the states a trajectory keeps
+    traj = run(manufactured_linear(), generate_disk_mesh(40, 1.0), 0.01, 0.1,
+               bdf_scheme(2), keep=[0, 5, 10])
+    assert len(traj.snapshots) == 3
+    held = sum(u.nbytes for u in traj.snapshots)
+    held += traj.u_final.nbytes + traj.w_final.nbytes
+    assert tracing._trajectory_bytes(traj) >= held
