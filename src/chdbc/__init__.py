@@ -9,7 +9,6 @@ from .assembly import (
     assemble_stiffness,
     assemble_surface_mass,
     assemble_surface_stiffness,
-    dump_matrix,
     load_vector,
     nodal_interpolate,
     nonlinearity_vector,
@@ -68,7 +67,6 @@ __all__ = [
     "bdf_step",
     "boundary_length",
     "bulk_area",
-    "dump_matrix",
     "eoc",
     "evolution_problem",
     "export_mesh",

@@ -79,33 +79,42 @@ def assemble_stiffness(mesh: Mesh2D) -> sp.csr_matrix:
     return assemble_bulk_stiffness(mesh) + assemble_surface_stiffness(mesh)
 
 
-def _at_nodes(values, shape, what: str) -> np.ndarray:
-    """One evaluation's result as a fresh, finite float array of node shape.
+def _at_nodes(values, shape, what: str, times=None) -> np.ndarray:
+    """One evaluation's result as a fresh, finite float array of `shape`.
 
-    A constant is broadcast; a result that cannot broadcast raises NumPy's
-    ValueError, a non-finite entry one naming `what` and the first such node.
+    `shape` is (N,), or (N, S) for the S `times`. A constant is broadcast; a
+    result that cannot broadcast raises NumPy's ValueError, a non-finite
+    entry one naming `what`, the earliest such time and its first node.
     """
     vals = np.empty(shape)
     vals[...] = values
     finite = np.isfinite(vals)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"{what} returned {vals[i]} at node {i}")
+        first = int(np.argmin(finite.T))  # time-major: earliest time first
+        j, i = divmod(first, shape[0])
+        at = "" if times is None else f", t = {times[j]}"
+        raise ValueError(f"{what} returned {vals.T.flat[first]} at node {i}{at}")
     return vals
 
 
-def nodal_interpolate(f: Callable, mesh: Mesh2D, t: float) -> np.ndarray:
+def nodal_interpolate(f: Callable, mesh: Mesh2D, t) -> np.ndarray:
     """Nodal interpolation: entry i is f(x_i, y_i, t), from one call of f.
 
-    Raises ValueError naming the first node at which f is non-finite.
+    A scalar t gives shape (N,); a 1-D array of S times gives the (N, S)
+    node x time grid, from f(x[:, None], y[:, None], t[None, :]). Raises
+    ValueError naming where f is first non-finite.
     """
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    return _at_nodes(f(x, y, t), x.shape, "field")
+    if np.ndim(t) == 0:
+        return _at_nodes(f(x, y, t), x.shape, "field")
+    t = np.asarray(t, dtype=float)
+    return _at_nodes(f(x[:, None], y[:, None], t[None, :]),
+                     (len(x), len(t)), "field", t)
 
 
-def _node_vector(M: sp.spmatrix, v) -> np.ndarray:
+def _node_vector(M: sp.spmatrix, v, ndims=(1,)) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (M.shape[0],):
+    if v.ndim not in ndims or v.shape[0] != M.shape[0]:
         raise ValueError(
             f"vector length {v.shape} does not match matrix "
             f"dimension {M.shape[0]}"
@@ -114,8 +123,11 @@ def _node_vector(M: sp.spmatrix, v) -> np.ndarray:
 
 
 def load_vector(M: sp.spmatrix, f_nodes: np.ndarray) -> np.ndarray:
-    """Load vector of an interpolated source: exactly M @ f_nodes."""
-    return M @ _node_vector(M, f_nodes)
+    """Load vector of an interpolated source: exactly M @ f_nodes.
+
+    f_nodes is one node vector (N,) or an (N, S) array, one column per time.
+    """
+    return M @ _node_vector(M, f_nodes, (1, 2))
 
 
 def nonlinearity_vector(M: sp.spmatrix, F: Callable, u_nodes: np.ndarray) -> np.ndarray:
@@ -131,13 +143,3 @@ def nonlinearity_vector(M: sp.spmatrix, F: Callable, u_nodes: np.ndarray) -> np.
         vals = F(u_nodes)
     return M @ _at_nodes(vals, u_nodes.shape, "nonlinearity")
 
-
-def dump_matrix(matrix: sp.spmatrix) -> str:
-    """Coordinate text dump 'i j value', sorted by (i, j), one per line."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}"
-        for k in order
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -206,8 +206,8 @@ def _snapshot_csv(m: meshmod.Mesh2D, u: np.ndarray) -> str:
 
 def cmd_evolve(args, parser) -> int:
     _check_disk(args, parser)
-    if not (args.strength > 0):
-        parser.error(f"--strength must be positive, got {args.strength}")
+    if not (args.strength > 0 and np.isfinite(args.strength)):
+        parser.error(f"--strength must be positive and finite, got {args.strength}")
     if not 0 <= args.seed < 2 ** 64:
         parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
     n_steps = _on_grid(parser, "evolve", integrator.step_count,

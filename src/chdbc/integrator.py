@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, inf, isfinite
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,11 +21,13 @@ import scipy.sparse as sp
 from . import assembly
 from .mesh import Mesh2D
 from .problems import ProblemSpec, zero_field
-from .saddle import (StepMatrix, build_step_matrix, nested_dissection_order,
-                     solve_ordered)
+from .saddle import StepMatrix, build_step_matrix, nested_dissection_order
 
 MAX_ORDER = 6
 BOOTSTRAP_SUBSTEP_CAP = 1000
+# Forcing values per load block: a block spans LOAD_BLOCK_VALUES // N steps
+# (at least one), so each (N, S) block array holds 32 KiB.
+LOAD_BLOCK_VALUES = 2 ** 12
 
 
 def _delta_fractions(k: int) -> List[Fraction]:
@@ -179,17 +181,21 @@ class Stepper:
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))
         self._forced = any(f is not zero_field for pair in self._forcings for f in pair)
-        self._zero = np.zeros(mesh.node_count)
+        self._zero = np.zeros((mesh.node_count, 1))
 
-    def loads(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        # Forcing pairs live on (bulk, surface), so each load combines the
-        # bulk mass applied to the bulk part with the surface mass applied
-        # to the surface part. Zero forcings load nothing.
+    def loads(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The loads (b1, b2) at the S given times, each of shape (N, S).
+
+        Forcing pairs live on (bulk, surface), so each load is
+        M_bulk @ F_bulk + M_surf @ F_surf, with each forcing evaluated once
+        on the node x time grid. Zero forcings are never evaluated.
+        """
         if not self._forced:
-            return self._zero, self._zero
+            zero = np.broadcast_to(self._zero, (self.mesh.node_count, len(times)))
+            return zero, zero
         b1, b2 = (
-            assembly.load_vector(self.M_bulk, assembly.nodal_interpolate(f_bulk, self.mesh, t))
-            + assembly.load_vector(self.M_surf, assembly.nodal_interpolate(f_surf, self.mesh, t))
+            assembly.load_vector(self.M_bulk, assembly.nodal_interpolate(f_bulk, self.mesh, times))
+            + assembly.load_vector(self.M_surf, assembly.nodal_interpolate(f_surf, self.mesh, times))
             for f_bulk, f_surf in self._forcings
         )
         return b1, b2
@@ -210,22 +216,38 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(0.5 * (u @ (self.A @ u)) + self.weights @ W(u))
 
-    def _advance(self, K: StepMatrix, scheme: BDFScheme,
-                 recent: Sequence[np.ndarray], n: int, t: float):
-        # bdf_step with this problem's loads at t; an abort names step n
-        b1, b2 = self.loads(t)
-        try:
-            return bdf_step(self.problem, scheme, K, self.M, recent, b1, b2)
-        except ValueError as exc:
-            raise RuntimeError(f"aborted at step {n} (t = {t}): {exc}") from exc
+    def _march(self, K: StepMatrix, scheme: BDFScheme, recent: List[np.ndarray],
+               steps: range, time: Callable, label: Optional[int] = None
+               ) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray]]:
+        """Yield (n, t, u, w) for each step n in `steps`, taken at t = time(n).
+
+        `recent` holds the scheme's k newest u, newest first; an abort names
+        step `label`, or n. The loads come a block of
+        max(1, LOAD_BLOCK_VALUES // N) steps at a time, so `time` must map an
+        integer array of steps to the doubles it gives for each step alone.
+        """
+        block = max(1, LOAD_BLOCK_VALUES // self.mesh.node_count)
+        for first in range(steps.start, steps.stop, block):
+            ns = range(first, min(first + block, steps.stop))
+            b1, b2 = self.loads(time(np.arange(ns.start, ns.stop)))
+            for col, n in enumerate(ns):
+                t = time(n)
+                try:
+                    u, w = bdf_step(self.problem, scheme, K, self.M, recent,
+                                    b1[:, col], b2[:, col])
+                except ValueError as exc:
+                    raise RuntimeError(f"aborted at step {n if label is None else label} "
+                                       f"(t = {t}): {exc}") from exc
+                recent = [u] + recent[:-1]
+                yield n, t, u, w
 
     def starts(self, mode: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """The k starting pairs (u^j, w^j) at t = j tau, j = 0..k-1.
 
         mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
-        u^0 from the initial data, recovers w^0 from the algebraic constraint,
-        and reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1
-        substeps (at most BOOTSTRAP_SUBSTEP_CAP). Their error, about tau^2/m =
+        u^0 from the initial data, with w^0 None (no step reads it), and
+        reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1 substeps
+        (at most BOOTSTRAP_SUBSTEP_CAP). Their error, about tau^2/m =
         tau^(2+(k-1)/k), is below the method order k for k >= 3.
         """
         problem, mesh, tau, k = self.problem, self.mesh, self.tau, self.scheme.k
@@ -239,12 +261,8 @@ class Stepper:
         if mode != "bootstrap":
             raise ValueError(f"start mode must be 'exact' or 'bootstrap', got {mode!r}")
 
-        # Second block equation at t = 0: M w = A u + b2 (+ nonlinear term).
         u = assembly.nodal_interpolate(problem.u0, mesh, 0.0)
-        rhs = self.A @ u + self.loads(0.0)[1]
-        if problem.kind == "nonlinear":
-            rhs = rhs + assembly.nonlinearity_vector(self.M, problem.nonlinearity, u)
-        yield u, solve_ordered(self.M, self.order, rhs)
+        yield u, None
         if k == 1:
             return
         m = _bootstrap_substeps(tau, k)
@@ -252,8 +270,9 @@ class Stepper:
         one = bdf_scheme(1)
         K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub, self.order)
         for j in range(1, k):
-            for s in range(1, m + 1):
-                u, w = self._advance(K1, one, [u], j, (j - 1) * tau + s * sub)
+            for _, _, u, w in self._march(K1, one, [u], range(1, m + 1),
+                                          lambda s: (j - 1) * tau + s * sub, j):
+                pass
             yield u, w
 
     def stream(self, t_start: float, n_steps: int,
@@ -261,21 +280,20 @@ class Stepper:
                ) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray]]:
         """Yield (n, t, u, w) for n = 0..n_steps, holding only the k newest u.
 
-        `starts` supplies the first k pairs and n_steps comes from
-        `step_count`. The step matrix is factorized once the starting values
-        are done, after a bootstrap has released its own factorization.
+        `starts` supplies the first k pairs (w is None at a bootstrap level
+        0) and n_steps comes from `step_count`. The step matrix is
+        factorized once the starting values are done, after a bootstrap has
+        released its own factorization.
         """
+        time = lambda n: t_start + n * self.tau
         recent: List[np.ndarray] = []  # newest first
         for n, (u, w) in enumerate(starts):
             recent.insert(0, u)
-            yield n, t_start + n * self.tau, u, w
+            yield n, time(n), u, w
         K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,
                               self.order)
-        for n in range(self.scheme.k, n_steps + 1):
-            t = t_start + n * self.tau
-            u, w = self._advance(K, self.scheme, recent, n, t)
-            recent = [u] + recent[:-1]
-            yield n, t, u, w
+        yield from self._march(K, self.scheme, recent,
+                               range(self.scheme.k, n_steps + 1), time)
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,

@@ -7,8 +7,11 @@ unit circle xy restricts to (1/2) sin 2(theta), whose surface Laplacian is
 forcings. The hard-coded formulas are guarded by the finite-difference
 residual oracle `verify_manufactured`.
 
-Fields and nonlinearities are called once on whole node arrays, so they
-must be written with NumPy operations; a constant result is broadcast.
+Fields and nonlinearities are called on whole node arrays, so they must be
+written with NumPy operations; a constant result is broadcast. A forcing is
+called once per block of time steps, on x[:, None], y[:, None] and
+t[None, :], so it must vectorize over t too; u0 and the exact solutions get a
+scalar t.
 """
 
 from __future__ import annotations
@@ -133,8 +136,8 @@ def evolution_problem(strength: float = 10.0, seed: int = 0) -> ProblemSpec:
     same potential acts in the bulk and on the boundary. Forcings are zero.
     The seed, in [0, 2^64), keys the hashed +/-1 draw `_coin_flip_field`.
     """
-    if not (strength > 0):
-        raise ValueError(f"strength must be positive, got {strength}")
+    if not (0 < strength < math.inf):
+        raise ValueError(f"strength must be positive and finite, got {strength}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     s = float(strength)

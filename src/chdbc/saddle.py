@@ -86,45 +86,18 @@ def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _ordered_lu(matrix: sp.spmatrix, perm: np.ndarray):
-    """LU of `matrix` with its rows and columns taken in the order perm.
-
-    SuperLU factorizes P matrix P^T, keeping that order and pivoting as the
-    module docstring says; the matrix may be real or complex. Returns the
-    SuperLU handle and a solve of matrix x = b through it.
-    """
-    lu = spla.splu(sp.csc_matrix(sp.csr_matrix(matrix)[perm][:, perm]),
-                   permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESHOLD,
-                   options={"SymmetricMode": True})
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x = np.empty_like(rhs)
-        x[perm] = lu.solve(rhs[perm])
-        return x
-
-    return lu, solve
-
-
-def solve_ordered(matrix: sp.spmatrix, order: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """One solve with a square matrix, factorized in the given node order."""
-    _, solve = _ordered_lu(matrix, order)
-    return solve(np.asarray(rhs, dtype=float))
-
-
 class StepMatrix:
     """The step matrix K and the LU of its complex form. Immutable after build.
 
     `matrix` assembles K in the blocked (u, w) numbering from M and A on
-    each read; `_lu` is the SuperLU handle of C = M - i s A, through which
-    `_solve` solves C z = b.
+    each read; `_lu` is the SuperLU handle of C = M - i s A with its rows
+    and columns taken in `_order`.
     """
 
-    def __init__(self, M: sp.spmatrix, A: sp.spmatrix, lu, solve,
+    def __init__(self, M: sp.spmatrix, A: sp.spmatrix, lu, order: np.ndarray,
                  delta0_over_tau: float):
         self._M, self._A = M, A
-        self._lu = lu
-        self._solve = solve
+        self._lu, self._order = lu, order
         self.block_dim = M.shape[0]
         self.delta0_over_tau = delta0_over_tau
 
@@ -145,7 +118,9 @@ class StepMatrix:
         if not np.isfinite(rhs).all():
             raise ValueError("rhs contains non-finite entries")
         s = self.delta0_over_tau ** -0.5
-        z = self._solve(s * rhs[:n] + 1j * rhs[n:])
+        b = s * rhs[:n] + 1j * rhs[n:]
+        z = np.empty_like(b)
+        z[self._order] = self._lu.solve(b[self._order])
         return np.concatenate([s * z.real, z.imag])
 
 
@@ -161,11 +136,15 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
                          f"got {M.shape} and {A.shape}")
     if not (delta0_over_tau > 0):
         raise ValueError(f"delta0/tau must be positive, got {delta0_over_tau}")
+    # SuperLU keeps the order of P C P^T and pivots as the module docstring says
+    C = sp.csr_matrix(M - 1j * delta0_over_tau ** -0.5 * A)
     try:
-        lu, solve = _ordered_lu(M - 1j * delta0_over_tau ** -0.5 * A, order)
+        lu = spla.splu(sp.csc_matrix(C[order][:, order]), permc_spec="NATURAL",
+                       diag_pivot_thresh=PIVOT_THRESHOLD,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise RuntimeError(
             f"step matrix factorization failed ({exc}); the mass or "
             f"stiffness matrix is likely invalid"
         ) from exc
-    return StepMatrix(M, A, lu, solve, float(delta0_over_tau))
+    return StepMatrix(M, A, lu, order, float(delta0_over_tau))

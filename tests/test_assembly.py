@@ -8,7 +8,6 @@ from chdbc.assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_surface_mass,
-    dump_matrix,
     load_vector,
     nodal_interpolate,
     nonlinearity_vector,
@@ -309,6 +308,47 @@ def test_nodal_interpolate_accepts_scalar_only_fields(tri):
     np.testing.assert_allclose(vals, [0.0, 1.0, 1.0], atol=1e-15)
 
 
+def test_nodal_interpolate_on_a_time_grid_matches_each_time_bitwise():
+    mesh = generate_disk_mesh(80, 1.0)
+    f = lambda x, y, t: -5.0 * np.exp(-t) * x * y - (np.exp(-t) * x * y) ** 3
+    times = np.arange(7) * 0.0025
+    grid = nodal_interpolate(f, mesh, times)
+    assert grid.shape == (mesh.node_count, 7)
+    for col, t in enumerate(times.tolist()):
+        assert grid[:, col].tobytes() == nodal_interpolate(f, mesh, t).tobytes()
+
+
+def test_nodal_interpolate_on_a_time_grid_names_the_bad_node_and_time(tri):
+    # node 1 is (1, 0), node 2 is (0, 1): node 2 fails first in time
+    def f(x, y, t):
+        bad = ((x == 1.0) & (t == 0.5)) | ((y == 1.0) & (t == 0.25))
+        return np.where(bad, np.nan, x + t)
+
+    with pytest.raises(ValueError, match=r"^field returned nan at node 2, t = 0.25$"):
+        nodal_interpolate(f, tri, np.array([0.0, 0.25, 0.5]))
+    with pytest.raises(ValueError, match=r"^field returned inf at node 1, t = 0.5$"):
+        nodal_interpolate(lambda x, y, t: np.where((x == 1.0) & (t == 0.5), np.inf, y),
+                          tri, np.array([0.0, 0.5]))
+
+
+def test_time_grid_results_broadcast(tri):
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    # a constant, and an (N, 1) column from a field that ignores t
+    np.testing.assert_array_equal(nodal_interpolate(lambda x, y, t: 2.0, tri, times),
+                                  np.full((3, 4), 2.0))
+    np.testing.assert_array_equal(nodal_interpolate(lambda x, y, t: x, tri, times),
+                                  np.repeat([[0.0], [1.0], [0.0]], 4, axis=1))
+    with pytest.raises(ValueError):
+        nodal_interpolate(lambda x, y, t: np.zeros((3, 2)), tri, times)
+    M = assemble_bulk_mass(tri)
+    block = load_vector(M, nodal_interpolate(lambda x, y, t: x + t, tri, times))
+    for col, t in enumerate(times.tolist()):
+        np.testing.assert_array_equal(block[:, col],
+                                      load_vector(M, np.array([t, 1.0 + t, t])))
+    with pytest.raises(ValueError, match="match"):
+        load_vector(M, np.zeros((5, 2)))
+
+
 def test_field_results_broadcast_to_a_writable_node_vector(tri):
     vals = nodal_interpolate(lambda x, y, t: 2.0, tri, 0.0)
     np.testing.assert_array_equal(vals, [2.0, 2.0, 2.0])
@@ -369,12 +409,3 @@ def test_nonlinearity_vector_reports_bad_node(tri):
         nonlinearity_vector(assemble_bulk_mass(tri),
                             lambda u: np.where(u > 1.5, np.nan, u),
                             np.array([0.0, 1.0, 2.0]))
-
-
-def test_dump_matrix_sorted_coordinate_format(tri):
-    M = assemble_bulk_mass(tri)
-    lines = dump_matrix(M).strip().splitlines()
-    assert lines[0].split() == ["0", "0", repr(1 / 12)]
-    keys = [tuple(map(int, ln.split()[:2])) for ln in lines]
-    assert keys == sorted(keys)
-    assert dump_matrix(M) == dump_matrix(assemble_bulk_mass(tri))

@@ -86,6 +86,22 @@ def test_disk_radius_must_be_positive_and_finite(tmp_path, capsys, command, radi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strength", ["inf", "nan", "0", "-1"])
+def test_evolve_strength_must_be_positive_and_finite(tmp_path, capsys, monkeypatch,
+                                                      strength):
+    def no_mesh(*args):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(cli.meshmod, "generate_disk_mesh", no_mesh)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--nodes", "40", "--strength", strength, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--strength must be positive and finite, got {float(strength)}" in err
+    assert not out.exists()
+
+
 def test_convergence_builds_each_refinement_mesh_once(tmp_path, monkeypatch):
     calls = []
     generate = cli.meshmod.generate_disk_mesh

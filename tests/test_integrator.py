@@ -13,7 +13,7 @@ from chdbc import analysis, assembly, integrator
 from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run, step_count
 from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import (ProblemSpec, evolution_problem, manufactured_linear,
-                            zero_field)
+                            manufactured_nonlinear, zero_field)
 from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 MESH_WITH_CENTER_NODE = """\
@@ -137,18 +137,17 @@ def test_exact_mode_requires_exact_solution():
             start_mode="midpoint")
 
 
-def test_bootstrap_k1_is_initial_data_with_recovered_w():
+def test_bootstrap_k1_is_initial_data_without_w():
     mesh = generate_disk_mesh(40, 1.0)
     problem = evolution_problem(seed=5)
     stepper = Stepper(problem, mesh, 0.01, bdf_scheme(1))
     n, t, u0, w0 = next(stepper.stream(0.0, 1, stepper.starts("bootstrap")))
     assert (n, t) == (0, 0.0)
     assert set(np.unique(u0)) <= {-1.0, 1.0}
-    # w0 solves the algebraic constraint M w = A u + F(u)-term
-    M = assembly.assemble_mass(mesh)
-    A = assembly.assemble_stiffness(mesh)
-    rhs = A @ u0 + assembly.nonlinearity_vector(M, problem.nonlinearity, u0)
-    assert np.abs(M @ w0 - rhs).max() <= 1e-10 * max(1.0, np.abs(rhs).max())
+    np.testing.assert_array_equal(
+        u0, assembly.nodal_interpolate(problem.u0, mesh, 0.0))
+    # no step reads w^0, so a bootstrap does not compute it
+    assert w0 is None
 
 
 def test_bootstrap_start_error_stays_close_to_exact_start():
@@ -169,8 +168,9 @@ def test_zero_problem_yields_zero_trajectory():
     mesh = generate_disk_mesh(20, 1.0)
     traj = run(problem, mesh, 0.01, 0.2, bdf_scheme(2), start_mode="bootstrap")
     stepper = Stepper(problem, mesh, 0.01, bdf_scheme(2))
-    for _, _, u, w in stepper.stream(0.0, 20, stepper.starts("bootstrap")):
-        assert np.all(u == 0.0) and np.all(w == 0.0)
+    for n, _, u, w in stepper.stream(0.0, 20, stepper.starts("bootstrap")):
+        assert np.all(u == 0.0)
+        assert w is None if n == 0 else np.all(w == 0.0)
     assert np.all(traj.u_final == 0.0) and np.all(traj.w_final == 0.0)
     assert len(traj.times) == 21
     np.testing.assert_allclose(np.diff(traj.times), 0.01, rtol=1e-12)
@@ -382,3 +382,54 @@ def test_run_names_a_step_it_cannot_keep_before_assembling(monkeypatch, bad):
     monkeypatch.setattr(integrator, "Stepper", no_assembly)
     with pytest.raises(ValueError, match=rf"step {bad}: the run has steps 0\.\.10"):
         run(manufactured_linear(), mesh, 0.01, 0.1, bdf_scheme(2), keep=[3, bad])
+
+
+@pytest.mark.parametrize("problem", [manufactured_linear(), manufactured_nonlinear()],
+                         ids=["linear", "nonlinear"])
+def test_block_loads_equal_the_per_time_loads_bitwise(problem):
+    mesh = generate_disk_mesh(320, 1.0)
+    stepper = Stepper(problem, mesh, 0.0025, bdf_scheme(3))
+    times = 0.0 + np.arange(3, 43) * 0.0025
+    blocks = stepper.loads(times)
+    forcings = ((problem.f1_bulk, problem.f1_surf), (problem.f2_bulk, problem.f2_surf))
+    for block, (f_bulk, f_surf) in zip(blocks, forcings):
+        assert block.shape == (mesh.node_count, 40)
+        for col, t in enumerate(times.tolist()):
+            one = (assembly.load_vector(stepper.M_bulk, assembly.nodal_interpolate(f_bulk, mesh, t))
+                   + assembly.load_vector(stepper.M_surf, assembly.nodal_interpolate(f_surf, mesh, t)))
+            assert block[:, col].tobytes() == one.tobytes(), (col, t)
+
+
+@pytest.mark.parametrize("k, start_mode", [(3, "exact"), (2, "bootstrap")])
+def test_final_state_does_not_depend_on_the_load_block_size(monkeypatch, k, start_mode):
+    # 320 nodes: 12-step blocks by default; 100 steps, and 20 substeps per
+    # bootstrap start, span several blocks
+    problem, mesh = manufactured_nonlinear(), generate_disk_mesh(320, 1.0)
+    assert integrator.LOAD_BLOCK_VALUES // mesh.node_count == 12
+
+    def final(block_values):
+        monkeypatch.setattr(integrator, "LOAD_BLOCK_VALUES", block_values)
+        traj = run(problem, mesh, 0.0025, 0.25, bdf_scheme(k), start_mode=start_mode)
+        return traj.u_final.tobytes(), traj.w_final.tobytes()
+
+    default = final(integrator.LOAD_BLOCK_VALUES)
+    assert final(1) == default  # one step per block
+    assert final(2 ** 30) == default  # one block
+
+
+def test_a_constant_forcing_loads_like_its_interpolant():
+    mesh = generate_disk_mesh(40, 1.0)
+    stepper = Stepper(ProblemSpec(f1_bulk=lambda x, y, t: 1.0), mesh, 0.01, bdf_scheme(1))
+    b1, b2 = stepper.loads(np.array([0.0, 0.01, 0.02]))
+    expected = stepper.M_bulk @ np.ones(mesh.node_count)
+    for col in range(3):
+        np.testing.assert_array_equal(b1[:, col], expected)
+    assert not b2.any()
+
+
+def test_a_non_finite_forcing_aborts_naming_its_node_and_time():
+    mesh = generate_disk_mesh(40, 1.0)
+    f = lambda x, y, t: np.where((t > 0.045) & (np.arange(len(x))[:, None] == 7),
+                                 np.nan, 0.0 * x * t)
+    with pytest.raises(ValueError, match=r"field returned nan at node 7, t = 0.05\b"):
+        run(ProblemSpec(f2_surf=f), mesh, 0.01, 0.1, bdf_scheme(1))

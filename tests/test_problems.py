@@ -115,6 +115,12 @@ def test_evolution_requires_positive_strength():
         evolution_problem(strength=0.0)
 
 
+@pytest.mark.parametrize("strength", [math.inf, math.nan])
+def test_evolution_requires_finite_strength(strength):
+    with pytest.raises(ValueError, match="strength must be positive and finite"):
+        evolution_problem(strength=strength)
+
+
 def test_evolution_initial_data_is_reproducible_pm_one():
     mesh = generate_disk_mesh(80, 1.0)
     xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]

@@ -8,11 +8,13 @@ by path and never installed.
 """
 
 import importlib.util
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
+from chdbc import assembly
 from chdbc.assembly import assemble_mass, assemble_stiffness
 from chdbc.integrator import bdf_scheme, run
 from chdbc.mesh import generate_disk_mesh
@@ -62,3 +64,23 @@ def test_trajectory_bytes_count_every_state_a_run_holds(tracing):
     held = sum(u.nbytes for u in traj.snapshots)
     held += traj.u_final.nbytes + traj.w_final.nbytes
     assert tracing._trajectory_bytes(traj) >= held
+
+
+def test_forcings_are_interpolated_once_per_load_block(monkeypatch):
+    # The tracer's problems.forcing_calls counts the calls of
+    # assembly.nodal_interpolate that pass a forcing, so every forcing
+    # evaluation must go through it: here 398 steps in blocks of 12.
+    problem = manufactured_linear()
+    forcings = {problem.f1_bulk, problem.f1_surf, problem.f2_bulk, problem.f2_surf}
+    interpolate = assembly.nodal_interpolate
+    calls = []
+
+    def counted(f, mesh, t):
+        calls.append(f)
+        return interpolate(f, mesh, t)
+
+    monkeypatch.setattr(assembly, "nodal_interpolate", counted)
+    mesh = generate_disk_mesh(320, 1.0)
+    assert mesh.node_count == 320
+    run(problem, mesh, 0.0025, 1.0, bdf_scheme(3))
+    assert sum(f in forcings for f in calls) == 4 * math.ceil(398 / 12) == 136
