@@ -17,10 +17,8 @@ from .integrator import (
     BDFScheme,
     Stepper,
     Trajectory,
-    bdf_coefficients,
     bdf_scheme,
     bdf_step,
-    extrapolation_coefficients,
     run,
     step_count,
 )
@@ -62,7 +60,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_surface_mass",
     "assemble_surface_stiffness",
-    "bdf_coefficients",
     "bdf_scheme",
     "bdf_step",
     "boundary_length",
@@ -70,7 +67,6 @@ __all__ = [
     "eoc",
     "evolution_problem",
     "export_mesh",
-    "extrapolation_coefficients",
     "final_error",
     "generate_disk_mesh",
     "h1_norm",

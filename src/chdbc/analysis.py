@@ -10,7 +10,7 @@ import numpy as np
 
 from . import assembly
 from .integrator import Trajectory
-from .mesh import Mesh2D, mesh_size
+from .mesh import Mesh2D
 from .problems import ProblemSpec
 
 
@@ -18,9 +18,6 @@ from .problems import ProblemSpec
 class ErrorReport:
     """Final-time errors of one run in the combined bulk+surface norms."""
 
-    h: float
-    tau: float
-    nodes: int
     err_L2: float
     err_H1: float
     err_w_L2: float
@@ -63,11 +60,7 @@ def final_error(trajectory: Trajectory, problem: ProblemSpec,
     T = float(trajectory.times[-1])
     eu = trajectory.u_final - assembly.nodal_interpolate(problem.exact_u, mesh, T)
     ew = trajectory.w_final - assembly.nodal_interpolate(problem.exact_w, mesh, T)
-    tau = float(trajectory.times[1] - trajectory.times[0]) if len(trajectory.times) > 1 else 0.0
     return ErrorReport(
-        h=mesh_size(mesh),
-        tau=tau,
-        nodes=mesh.node_count,
         err_L2=l2_norm(M, eu),
         err_H1=h1_norm(M, A, eu),
         err_w_L2=l2_norm(M, ew),

@@ -59,6 +59,14 @@ def _write_files(files: Iterable[Tuple[str, Callable[[], str]]]) -> None:
         raise
 
 
+def _emit(path: Optional[str], text: str) -> None:
+    # an --out path gets the text as one file; no path sends it to stdout
+    if path:
+        _write_files([(path, lambda: text)])
+    else:
+        sys.stdout.write(text)
+
+
 def _list_of(convert: Callable, kind: str) -> Callable[[str], list]:
     # an argparse type for a comma-separated list of `kind`
     def parse(text: str) -> list:
@@ -153,31 +161,27 @@ def cmd_convergence(args, parser) -> int:
     # the manufactured forcings are derived on the unit disk
     meshes = [(i, meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, 1.0))
               for i in sorted(set(args.refinements))]
+    hs = [meshmod.mesh_size(m) for _, m in meshes]
 
     rows = [["i", "nodes", "h", "tau", "err_L2", "err_H1", "eoc_L2", "eoc_H1"]]
     for tau in taus:
         reports = []
-        for i, m in meshes:
+        for _, m in meshes:
             traj = integrator.run(problem, m, tau, args.T, scheme,
                                   start_mode=args.start_mode)
-            reports.append((i, analysis.final_error(traj, problem, m)))
-        hs = [r.h for _, r in reports]
+            reports.append(analysis.final_error(traj, problem, m))
         if len(reports) >= 2:
-            orders_l2 = [None] + analysis.eoc([r.err_L2 for _, r in reports], hs)
-            orders_h1 = [None] + analysis.eoc([r.err_H1 for _, r in reports], hs)
+            orders_l2 = [None] + analysis.eoc([r.err_L2 for r in reports], hs)
+            orders_h1 = [None] + analysis.eoc([r.err_H1 for r in reports], hs)
         else:
             orders_l2 = orders_h1 = [None]
-        for (i, rep), o2, o1 in zip(reports, orders_l2, orders_h1):
+        for (i, m), h, rep, o2, o1 in zip(meshes, hs, reports, orders_l2, orders_h1):
             rows.append([
-                i, rep.nodes, rep.h, rep.tau, rep.err_L2, rep.err_H1,
+                i, m.node_count, h, tau, rep.err_L2, rep.err_H1,
                 EOC_SENTINEL if o2 is None else o2,
                 EOC_SENTINEL if o1 is None else o1,
             ])
-    text = _csv(rows)
-    if args.out:
-        _write_files([(args.out, lambda: text)])
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, _csv(rows))
     return 0
 
 
@@ -260,10 +264,7 @@ def cmd_mesh(args, parser) -> int:
             raise RuntimeError("exported mesh did not survive a round trip")
         print(f"mesh valid: {m.node_count} nodes, {len(m.triangles)} triangles",
               file=sys.stderr)
-    if args.out:
-        _write_files([(args.out, lambda: text)])
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, text)
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, inf, isfinite
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,33 +38,6 @@ def _delta_fractions(k: int) -> List[Fraction]:
             co[j] += Fraction(1, l) * comb(l, j) * (-1) ** j
     return co
 
-def _gamma_fractions(k: int) -> List[Fraction]:
-    # gamma(xi) = (1 - (1 - xi)^k) / xi via synthetic division
-    num = [Fraction(0)] * (k + 1)
-    num[0] = Fraction(1)
-    for j in range(k + 1):
-        num[j] -= comb(k, j) * (-1) ** j
-    assert num[0] == 0
-    return num[1:]
-
-
-def _check_order(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_ORDER:
-        raise ValueError(f"BDF order k must be an integer in [1, {MAX_ORDER}], got {k}")
-
-
-def bdf_coefficients(k: int) -> np.ndarray:
-    """Coefficients (delta_0, ..., delta_k) of the k-step BDF method."""
-    _check_order(k)
-    return np.array([float(c) for c in _delta_fractions(k)])
-
-
-def extrapolation_coefficients(k: int) -> np.ndarray:
-    """Coefficients (gamma_0, ..., gamma_{k-1}) of the BDF extrapolant."""
-    _check_order(k)
-    return np.array([float(c) for c in _gamma_fractions(k)])
-
-
 @dataclass(frozen=True)
 class BDFScheme:
     """Step count with method and extrapolation coefficients."""
@@ -75,8 +48,18 @@ class BDFScheme:
 
 
 def bdf_scheme(k: int) -> BDFScheme:
-    return BDFScheme(k=k, delta=bdf_coefficients(k),
-                     gamma=extrapolation_coefficients(k))
+    """The k-step BDF scheme, the one source of its coefficients.
+
+    delta = (delta_0, ..., delta_k) are the method's and gamma = (gamma_0,
+    ..., gamma_{k-1}) the extrapolant's, each the double nearest its exact
+    rational value. k must be an integer in [1, MAX_ORDER].
+    """
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_ORDER:
+        raise ValueError(f"BDF order k must be an integer in [1, {MAX_ORDER}], got {k}")
+    # gamma(xi) = (1 - (1 - xi)^k) / xi = sum_j (-1)^j C(k, j+1) xi^j
+    gamma = [(-1) ** j * comb(k, j + 1) for j in range(k)]
+    return BDFScheme(k=k, delta=np.array([float(c) for c in _delta_fractions(k)]),
+                     gamma=np.array(gamma, dtype=float))
 
 
 @dataclass
@@ -148,8 +131,7 @@ def bdf_step(problem: ProblemSpec, scheme: BDFScheme, K: StepMatrix, M,
     tail = sum((d * u for d, u in zip(scheme.delta[2:], recent[1:])),
                scheme.delta[1] * recent[0])
     inv_tau = K.delta0_over_tau / scheme.delta[0]
-    sol = K.solve(np.concatenate([b1 - inv_tau * (M @ tail), b2]))
-    u, w = sol[:K.block_dim], sol[K.block_dim:]
+    u, w = K.solve(np.concatenate([b1 - inv_tau * (M @ tail), b2])).reshape(2, -1)
     if not np.isfinite(u).all():
         raise ValueError("non-finite solution; the extrapolated scheme is "
                          "likely outside its stability region")
@@ -181,7 +163,6 @@ class Stepper:
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))
         self._forced = any(f is not zero_field for pair in self._forcings for f in pair)
-        self._zero = np.zeros((mesh.node_count, 1))
 
     def loads(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The loads (b1, b2) at the S given times, each of shape (N, S).
@@ -191,7 +172,7 @@ class Stepper:
         on the node x time grid. Zero forcings are never evaluated.
         """
         if not self._forced:
-            zero = np.broadcast_to(self._zero, (self.mesh.node_count, len(times)))
+            zero = np.broadcast_to(0.0, (self.mesh.node_count, len(times)))
             return zero, zero
         b1, b2 = (
             assembly.load_vector(self.M_bulk, assembly.nodal_interpolate(f_bulk, self.mesh, times))
@@ -217,21 +198,20 @@ class Stepper:
             return float(0.5 * (u @ (self.A @ u)) + self.weights @ W(u))
 
     def _march(self, K: StepMatrix, scheme: BDFScheme, recent: List[np.ndarray],
-               steps: range, time: Callable, label: Optional[int] = None
+               steps: range, t0: float, dt: float, label: Optional[int] = None
                ) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray]]:
-        """Yield (n, t, u, w) for each step n in `steps`, taken at t = time(n).
+        """Yield (n, t, u, w) for each step n in `steps`, taken at t = t0 + n dt.
 
         `recent` holds the scheme's k newest u, newest first; an abort names
         step `label`, or n. The loads come a block of
-        max(1, LOAD_BLOCK_VALUES // N) steps at a time, so `time` must map an
-        integer array of steps to the doubles it gives for each step alone.
+        max(1, LOAD_BLOCK_VALUES // N) steps at a time, at the same doubles.
         """
         block = max(1, LOAD_BLOCK_VALUES // self.mesh.node_count)
         for first in range(steps.start, steps.stop, block):
             ns = range(first, min(first + block, steps.stop))
-            b1, b2 = self.loads(time(np.arange(ns.start, ns.stop)))
+            b1, b2 = self.loads(t0 + np.arange(ns.start, ns.stop) * dt)
             for col, n in enumerate(ns):
-                t = time(n)
+                t = t0 + n * dt
                 try:
                     u, w = bdf_step(self.problem, scheme, K, self.M, recent,
                                     b1[:, col], b2[:, col])
@@ -271,7 +251,7 @@ class Stepper:
         K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub, self.order)
         for j in range(1, k):
             for _, _, u, w in self._march(K1, one, [u], range(1, m + 1),
-                                          lambda s: (j - 1) * tau + s * sub, j):
+                                          (j - 1) * tau, sub, j):
                 pass
             yield u, w
 
@@ -285,15 +265,14 @@ class Stepper:
         factorized once the starting values are done, after a bootstrap has
         released its own factorization.
         """
-        time = lambda n: t_start + n * self.tau
         recent: List[np.ndarray] = []  # newest first
         for n, (u, w) in enumerate(starts):
             recent.insert(0, u)
-            yield n, time(n), u, w
+            yield n, t_start + n * self.tau, u, w
         K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,
                               self.order)
         yield from self._march(K, self.scheme, recent,
-                               range(self.scheme.k, n_steps + 1), time)
+                               range(self.scheme.k, n_steps + 1), t_start, self.tau)
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,

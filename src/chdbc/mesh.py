@@ -99,17 +99,19 @@ def mesh_size(mesh: Mesh2D) -> float:
 def validate_mesh(mesh: Mesh2D) -> None:
     """Check all Mesh2D invariants, raising ValueError on the first failure.
 
-    Checks finite coordinates and radius first (the later checks pass NaN),
-    then index ranges, strictly positive (non-degenerate) triangle areas,
-    the boundary/interior edge incidence counts, that the boundary edges
-    form a single closed cycle, and (when a radius is present) that every
-    boundary vertex lies on the circle.
+    Checks finite coordinates and a positive finite radius first (later
+    checks pass NaN), then index ranges, strictly positive (non-degenerate)
+    triangle areas, the boundary/interior edge incidence counts, that the
+    boundary edges form a single closed cycle, and (when a radius is
+    present) that every boundary vertex lies on the circle.
     """
     if not np.isfinite(mesh.nodes).all():
         k = int(np.argmin(np.isfinite(mesh.nodes).all(axis=1)))
         raise ValueError(f"node {k} has a non-finite coordinate {mesh.nodes[k]}")
     if mesh.radius is not None and not math.isfinite(mesh.radius):
         raise ValueError(f"radius must be finite, got {mesh.radius!r}")
+    if mesh.radius is not None and mesh.radius <= 0:
+        raise ValueError(f"radius must be positive, got {mesh.radius!r}")
     n = mesh.node_count
     if n < 3:
         raise ValueError("mesh needs at least 3 nodes")
@@ -339,7 +341,7 @@ def import_mesh(text: str) -> Mesh2D:
         radius = _header_value(content[pos], "RADIUS", float)
         if not (radius > 0) or not math.isfinite(radius):
             raise MeshFormatError(
-                f"RADIUS must be positive, got {radius!r}", content[pos][0])
+                f"RADIUS must be positive and finite, got {radius!r}", content[pos][0])
         pos += 1
 
     sections = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -89,17 +89,13 @@ def double_well_derivative(u):
 
 
 def manufactured_nonlinear() -> ProblemSpec:
-    """Same exact solution with F(u) = u^3 - u folded into the f2 forcings."""
-    F = double_well_derivative
-    return ProblemSpec(
-        f1_bulk=lambda x, y, t: -np.exp(-t) * x * y,
-        f2_bulk=lambda x, y, t: np.exp(-t) * x * y - F(np.exp(-t) * x * y),
-        f1_surf=lambda x, y, t: 5.0 * np.exp(-t) * x * y,
-        f2_surf=lambda x, y, t: -5.0 * np.exp(-t) * x * y - F(np.exp(-t) * x * y),
+    """Same solution with F(u) = u^3 - u: the linear f2 forcings minus F(exact u)."""
+    linear, F = manufactured_linear(), double_well_derivative
+    return replace(
+        linear,
+        f2_bulk=lambda x, y, t: linear.f2_bulk(x, y, t) - F(linear.exact_u(x, y, t)),
+        f2_surf=lambda x, y, t: linear.f2_surf(x, y, t) - F(linear.exact_u(x, y, t)),
         nonlinearity=F,
-        u0=lambda x, y, t: x * y,
-        exact_u=_uw,
-        exact_w=_uw,
     )
 
 

@@ -98,7 +98,6 @@ class StepMatrix:
                  delta0_over_tau: float):
         self._M, self._A = M, A
         self._lu, self._order = lu, order
-        self.block_dim = M.shape[0]
         self.delta0_over_tau = delta0_over_tau
 
     @property
@@ -110,7 +109,7 @@ class StepMatrix:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs reusing the stored factorization."""
         rhs = np.asarray(rhs, dtype=float)
-        n = self.block_dim
+        n = self._M.shape[0]
         if rhs.shape != (2 * n,):
             raise ValueError(
                 f"rhs length {rhs.shape} does not match system size {2 * n}"

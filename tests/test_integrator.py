@@ -262,7 +262,7 @@ def test_bdf3_difference_quotient_truncation():
     problem = manufactured_linear()
     mesh = generate_disk_mesh(80, 1.0)
     tau = 1e-3
-    delta = integrator.bdf_coefficients(3)
+    delta = bdf_scheme(3).delta
     tn = 3 * tau
     quotient = sum(
         delta[j] * assembly.nodal_interpolate(problem.exact_u, mesh, tn - j * tau)
@@ -433,3 +433,36 @@ def test_a_non_finite_forcing_aborts_naming_its_node_and_time():
                                  np.nan, 0.0 * x * t)
     with pytest.raises(ValueError, match=r"field returned nan at node 7, t = 0.05\b"):
         run(ProblemSpec(f2_surf=f), mesh, 0.01, 0.1, bdf_scheme(1))
+
+
+def _recording_f1_bulk(problem, seen):
+    # the problem with its f1_bulk wrapped to record every t it is given
+    def f1_bulk(x, y, t):
+        seen.extend(np.ravel(t).tolist())
+        return problem.f1_bulk(x, y, t)
+
+    return dataclasses.replace(problem, f1_bulk=f1_bulk)
+
+
+def test_stream_steps_and_loads_at_t_start_plus_n_tau_bitwise():
+    # 320 nodes: 40 steps in 12-step load blocks
+    tau, t_start, n_steps = 0.01, 0.04, 40
+    seen = []
+    problem = _recording_f1_bulk(manufactured_linear(), seen)
+    stepper = Stepper(problem, generate_disk_mesh(320, 1.0), tau, bdf_scheme(3))
+    times = [t for _, t, _, _ in stepper.stream(t_start, n_steps, stepper.starts("exact"))]
+    expected = [t_start + n * tau for n in range(n_steps + 1)]
+    assert times == expected
+    assert set(seen) == set(expected[3:])
+
+
+def test_bootstrap_substeps_load_at_their_own_grid_bitwise():
+    tau, k = 0.01, 3
+    seen = []
+    problem = _recording_f1_bulk(manufactured_linear(), seen)
+    stepper = Stepper(problem, generate_disk_mesh(320, 1.0), tau, bdf_scheme(k))
+    assert len(list(stepper.starts("bootstrap"))) == k
+    m = integrator._bootstrap_substeps(tau, k)
+    assert m == 22  # two 12-step load blocks per start
+    assert seen == [(j - 1) * tau + s * (tau / m)
+                    for j in range(1, k) for s in range(1, m + 1)]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -381,3 +382,24 @@ def test_validate_rejects_a_non_finite_radius(radius):
                     boundary_edges=m.boundary_edges, radius=radius)
     with pytest.raises(ValueError, match="radius must be finite"):
         validate_mesh(broken)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_validate_rejects_a_non_positive_radius(radius):
+    # a valid disk mesh with radius <= 0 is refused by value, before the
+    # circle check can misreport it as a node off the circle
+    m = generate_disk_mesh(20, 1.0)
+    broken = Mesh2D(nodes=m.nodes, triangles=m.triangles,
+                    boundary_edges=m.boundary_edges, radius=radius)
+    with pytest.raises(ValueError, match=re.escape(f"radius must be positive, got {radius!r}")):
+        validate_mesh(broken)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-2.0"])
+def test_import_rejects_a_radius_that_is_not_positive_and_finite(value):
+    lines = list(FUZZ_LINES)
+    assert lines[1] == "RADIUS 1.0"
+    lines[1] = f"RADIUS {value}"
+    with pytest.raises(MeshFormatError, match="RADIUS must be positive and finite") as exc:
+        import_mesh("\n".join(lines) + "\n")
+    assert exc.value.line == 2

@@ -1,0 +1,96 @@
+"""Compare the CLI outputs of this checkout's src/ with those of a git revision.
+
+Usage: python tools/compare_cli_outputs.py REV
+
+REV's src/ is extracted with `git archive` into a temporary directory. Each
+command of COMMANDS then runs once on each tree, with one BLAS thread and in
+a fresh working directory. The exit codes, stdout, stderr and every file a
+command writes are compared byte for byte. Prints one line per command and
+exits 1 if any of them differs, 0 if none does.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+REPO = Path(__file__).resolve().parents[1]
+
+# (name, chdbc arguments); an output directory is relative to the run's own
+# working directory
+COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
+    ("convergence-linear", ["convergence", "--problem", "linear"]),
+    ("convergence-nonlinear", ["convergence", "--problem", "nonlinear"]),
+    ("convergence-nonlinear-bootstrap",
+     ["convergence", "--problem", "nonlinear", "--start-mode", "bootstrap"]),
+    ("convergence-linear-k1-bootstrap",
+     ["convergence", "--problem", "linear", "--k", "1", "--start-mode", "bootstrap"]),
+    ("evolve-vtk", ["evolve", "--seed", "0", "--vtk", "--out", "out"]),
+    ("evolve-k2-small-tau",
+     ["evolve", "--nodes", "160", "--radius", "1", "--k", "2", "--tau", "1e-5",
+      "--T", "1e-3", "--snapshots", "0,0.001", "--out", "out"]),
+    ("mesh-41k", ["mesh", "--nodes", "40960", "--radius", "10", "--validate"]),
+)
+
+ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                     "MKL_NUM_THREADS")}
+
+
+def extract_src(rev: str, dest: Path) -> Path:
+    """Write REV's src/ under dest and return the path of that src/."""
+    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev, "src"],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def run_command(src: Path, args: List[str], cwd: Path) -> Dict[str, bytes]:
+    """Run `chdbc args` from src in cwd; return its exit code, streams and files."""
+    cwd.mkdir(parents=True)
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(src),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "chdbc.cli", *args], cwd=cwd,
+                          env=env, capture_output=True)
+    result = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
+              "stderr": proc.stderr}
+    for path in sorted(p for p in cwd.rglob("*") if p.is_file()):
+        result[f"file {path.relative_to(cwd)}"] = path.read_bytes()
+    return result
+
+
+def main(argv: List[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/compare_cli_outputs.py REV", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory(prefix="chdbc-compare-") as tmp:
+        tmp = Path(tmp)
+        try:
+            rev_src = extract_src(rev, tmp / "rev")
+        except subprocess.CalledProcessError as exc:
+            print(f"git archive {rev} failed: {exc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        differ = 0
+        for name, args in COMMANDS:
+            old = run_command(rev_src, args, tmp / "runs" / "rev" / name)
+            new = run_command(REPO / "src", args, tmp / "runs" / "checkout" / name)
+            diffs = sorted(key for key in old.keys() | new.keys()
+                           if old.get(key) != new.get(key))
+            differ += bool(diffs)
+            print(f"{name}: " + (f"DIFFERS in {', '.join(diffs)}" if diffs else
+                                 f"same (exit {new['exit code'].decode()}, "
+                                 f"{len(new) - 3} file(s))"))
+        print(f"{differ} of {len(COMMANDS)} command(s) differ from {rev}")
+        return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
