@@ -143,16 +143,18 @@ def _bootstrap_substeps(tau: float, k: int) -> int:
 
 
 class Stepper:
-    """One problem on one mesh with one step size and scheme.
+    """One problem on one mesh with one step size and scheme, from t_start.
 
     Built once, it owns the assembled matrices, the mass weights, the load
-    evaluator and the node order every factorization eliminates in. `stream`
+    evaluator and the node order every factorization eliminates in. Level n
+    lies at t = t_start + n tau, the starting values included. `stream`
     factorizes the step matrix and yields the time levels one at a time.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh2D, tau: float,
-                 scheme: BDFScheme):
+                 scheme: BDFScheme, t_start: float = 0.0):
         self.problem, self.mesh, self.tau, self.scheme = problem, mesh, tau, scheme
+        self.t_start = t_start
         self.M_bulk = assembly.assemble_bulk_mass(mesh)
         self.M_surf = assembly.assemble_surface_mass(mesh)
         self.M = self.M_bulk + self.M_surf
@@ -222,26 +224,28 @@ class Stepper:
                 yield n, t, u, w
 
     def starts(self, mode: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """The k starting pairs (u^j, w^j) at t = j tau, j = 0..k-1.
+        """The k starting pairs (u^j, w^j) at t = t_start + j tau, j = 0..k-1.
 
         mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
-        u^0 from the initial data, with w^0 None (no step reads it), and
-        reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1 substeps
-        (at most BOOTSTRAP_SUBSTEP_CAP). Their error, about tau^2/m =
-        tau^(2+(k-1)/k), is below the method order k for k >= 3.
+        u^0 from the initial data at t_start, with w^0 None (no step reads
+        it), and reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1
+        substeps (at most BOOTSTRAP_SUBSTEP_CAP). Their error, about tau^2/m
+        = tau^(2+(k-1)/k), is below the method order k for k >= 3.
         """
         problem, mesh, tau, k = self.problem, self.mesh, self.tau, self.scheme.k
+        t_start = self.t_start
         if mode == "exact":
             if not problem.has_exact_solution:
                 raise ValueError("start mode 'exact' needs exact solutions")
             for j in range(k):
-                yield (assembly.nodal_interpolate(problem.exact_u, mesh, j * tau),
-                       assembly.nodal_interpolate(problem.exact_w, mesh, j * tau))
+                t = t_start + j * tau
+                yield (assembly.nodal_interpolate(problem.exact_u, mesh, t),
+                       assembly.nodal_interpolate(problem.exact_w, mesh, t))
             return
         if mode != "bootstrap":
             raise ValueError(f"start mode must be 'exact' or 'bootstrap', got {mode!r}")
 
-        u = assembly.nodal_interpolate(problem.u0, mesh, 0.0)
+        u = assembly.nodal_interpolate(problem.u0, mesh, t_start)
         yield u, None
         if k == 1:
             return
@@ -251,28 +255,31 @@ class Stepper:
         K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub, self.order)
         for j in range(1, k):
             for _, _, u, w in self._march(K1, one, [u], range(1, m + 1),
-                                          (j - 1) * tau, sub, j):
+                                          t_start + (j - 1) * tau, sub, j):
                 pass
             yield u, w
 
-    def stream(self, t_start: float, n_steps: int,
-               starts: Iterable[Tuple[np.ndarray, np.ndarray]]
+    def stream(self, n_steps: int, starts: Iterable[Tuple[np.ndarray, np.ndarray]]
                ) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray]]:
         """Yield (n, t, u, w) for n = 0..n_steps, holding only the k newest u.
 
         `starts` supplies the first k pairs (w is None at a bootstrap level
-        0) and n_steps comes from `step_count`. The step matrix is
-        factorized once the starting values are done, after a bootstrap has
-        released its own factorization.
+        0) and n_steps, at least k - 1, comes from `step_count`. The step
+        matrix is factorized once the starting values are done, after a
+        bootstrap has released its own factorization.
         """
+        k = self.scheme.k
+        if n_steps < k - 1:
+            raise ValueError(f"n_steps={n_steps} is fewer than the k - 1 = {k - 1} "
+                             f"steps the starting values of BDF{k} fill")
         recent: List[np.ndarray] = []  # newest first
         for n, (u, w) in enumerate(starts):
             recent.insert(0, u)
-            yield n, t_start + n * self.tau, u, w
+            yield n, self.t_start + n * self.tau, u, w
         K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,
                               self.order)
-        yield from self._march(K, self.scheme, recent,
-                               range(self.scheme.k, n_steps + 1), t_start, self.tau)
+        yield from self._march(K, self.scheme, recent, range(k, n_steps + 1),
+                               self.t_start, self.tau)
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
@@ -286,7 +293,7 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
     [0, n_steps] is a ValueError, raised before anything is assembled.
     start_mode 'auto' picks 'exact' when the problem has an exact solution
     and 'bootstrap' otherwise. A run seeded with other starting values, or
-    from a later time, is `Stepper.stream` with those values.
+    from a later time, is `Stepper(..., t_start).stream` with those values.
     """
     n_steps = step_count(tau, T, scheme.k)
     keep = set(keep)
@@ -300,7 +307,7 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
     times, mass = np.empty(n_steps + 1), np.empty(n_steps + 1)
     energy = None if problem.potential is None else np.empty(n_steps + 1)
     snapshots = []
-    for n, t, u, w in stepper.stream(0.0, n_steps, stepper.starts(start_mode)):
+    for n, t, u, w in stepper.stream(n_steps, stepper.starts(start_mode)):
         times[n], mass[n] = t, stepper.mass(u)
         if energy is not None:
             energy[n] = stepper.energy(u)

@@ -36,6 +36,13 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
      ["evolve", "--nodes", "160", "--radius", "1", "--k", "2", "--tau", "1e-5",
       "--T", "1e-3", "--snapshots", "0,0.001", "--out", "out"]),
     ("mesh-41k", ["mesh", "--nodes", "40960", "--radius", "10", "--validate"]),
+    # error paths: their messages and exit codes are outputs too
+    ("evolve-strength-inf", ["evolve", "--strength", "inf", "--out", "out"]),
+    ("convergence-tau-not-dividing",
+     ["convergence", "--problem", "linear", "--tau", "0.3"]),
+    ("evolve-k3-diverges",
+     ["evolve", "--nodes", "160", "--radius", "1", "--k", "3", "--tau", "0.01",
+      "--T", "1", "--snapshots", "0", "--out", "out"]),
 )
 
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
