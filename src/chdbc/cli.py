@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -162,14 +163,22 @@ def cmd_convergence(args, parser) -> int:
     meshes = [(i, meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, 1.0))
               for i in sorted(set(args.refinements))]
     hs = [meshmod.mesh_size(m) for _, m in meshes]
+    # All refinements step together on their disjoint union: no triangle
+    # joins two parts, so every matrix is block-diagonal and each part's
+    # numbers are bitwise those of a run on that mesh alone (README).
+    union = meshmod.disjoint_union([m for _, m in meshes])
+    ends = np.cumsum([m.node_count for _, m in meshes])
+    parts = [slice(b - m.node_count, b) for (_, m), b in zip(meshes, ends)]
 
     rows = [["i", "nodes", "h", "tau", "err_L2", "err_H1", "eoc_L2", "eoc_H1"]]
     for tau in taus:
-        reports = []
-        for _, m in meshes:
-            traj = integrator.run(problem, m, tau, args.T, scheme,
-                                  start_mode=args.start_mode)
-            reports.append(analysis.final_error(traj, problem, m))
+        traj = integrator.run(problem, union, tau, args.T, scheme,
+                              start_mode=args.start_mode)
+        # final_error reads the final time, the final state and M and A
+        reports = [analysis.final_error(
+            replace(traj, u_final=traj.u_final[p], w_final=traj.w_final[p],
+                    M=traj.M[p, p], A=traj.A[p, p]), problem, m)
+            for p, (_, m) in zip(parts, meshes)]
         if len(reports) >= 2:
             orders_l2 = [None] + analysis.eoc([r.err_L2 for r in reports], hs)
             orders_h1 = [None] + analysis.eoc([r.err_H1 for r in reports], hs)
@@ -216,11 +225,20 @@ def cmd_evolve(args, parser) -> int:
         parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
     n_steps = _on_grid(parser, "evolve", integrator.step_count,
                        args.tau, args.T, args.k)
-    snap_steps = {}
+    snap_steps, snap_names = {}, {}
     for t in args.snapshots:
         idx = _on_grid(parser, "--snapshots", integrator.step_index, t, args.tau)
         if not 0 <= idx <= n_steps:
             parser.error(f"--snapshots: time {t} lies outside [0, {args.T}]")
+        # one file per step and one step per file name
+        name = f"{t:g}"
+        if idx in snap_steps and f"{snap_steps[idx]:g}" != name:
+            parser.error(f"--snapshots: times {snap_steps[idx]} and {t} both "
+                         f"fall on step {idx}")
+        n = snap_names.setdefault(name, idx)
+        if n != idx:
+            parser.error(f"--snapshots: times {snap_steps[n]} and {t} (steps {n} "
+                         f"and {idx}) both name snapshot_t{name}")
         snap_steps[idx] = t
 
     problem = problems.evolution_problem(strength=args.strength, seed=args.seed)

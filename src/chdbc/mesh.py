@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +94,20 @@ def mesh_size(mesh: Mesh2D) -> float:
     p = mesh.nodes[mesh.triangles]
     d = p - np.roll(p, -1, axis=1)
     return float(np.sqrt(np.einsum("tij,tij->ti", d, d)).max())
+
+
+def disjoint_union(meshes: Sequence[Mesh2D]) -> Mesh2D:
+    """One mesh holding every given mesh as a part no triangle joins to another.
+
+    Part p's nodes follow each other from index sum(node counts of parts
+    0..p-1) on, and its triangles and boundary edges are offset by that
+    index. The union is no disk, so its radius is None.
+    """
+    starts = np.cumsum([0] + [m.node_count for m in meshes[:-1]])
+    return Mesh2D(
+        nodes=np.vstack([m.nodes for m in meshes]),
+        triangles=np.vstack([m.triangles + a for m, a in zip(meshes, starts)]),
+        boundary_edges=np.vstack([m.boundary_edges + a for m, a in zip(meshes, starts)]))
 
 
 def validate_mesh(mesh: Mesh2D) -> None:

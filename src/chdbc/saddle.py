@@ -34,8 +34,11 @@ PIVOT_THRESHOLD = 0.1
 
 
 def _edges(M: sp.spmatrix):
-    """Node pairs (i < j) of the off-diagonal pattern of M: the mesh edges."""
-    upper = sp.triu(M, k=1).tocoo()
+    """Node pairs (i < j) of the off-diagonal pattern of M: the mesh edges.
+
+    They come in row order, so i never decreases.
+    """
+    upper = sp.triu(sp.csr_matrix(M), k=1).tocoo()
     return upper.row.astype(np.int64), upper.col.astype(np.int64)
 
 
@@ -66,8 +69,13 @@ def _bisect(nodes: np.ndarray, idx: np.ndarray, ei: np.ndarray,
 def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
     """Node elimination order: halves first, each separator after its halves.
 
-    Bisects recursively until a part holds at most LEAF_SIZE nodes; the
-    neighbours come from the off-diagonal pattern of M.
+    A cut is an index i that no edge spans (no edge i' <= i < j'). The cuts
+    split the nodes into index ranges with no edge between them, and each
+    range is ordered on its own, in index order: so a disjoint union of
+    meshes gets each part's own order, offset by its first index. A
+    connected mesh has no cut. Each range is bisected recursively until a
+    part holds at most LEAF_SIZE nodes; the neighbours come from the
+    off-diagonal pattern of M.
     """
     n = M.shape[0]
     side = np.empty(n, dtype=np.int8)
@@ -82,7 +90,15 @@ def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
         dissect(upper, up_edges)
         blocks.append(sep)
 
-    dissect(np.arange(n), _edges(M))
+    ei, ej = _edges(M)
+    # spans[i] counts the edges with ei <= i < ej
+    spans = np.cumsum(np.bincount(ei, minlength=n) - np.bincount(ej, minlength=n))
+    bounds = np.r_[0, np.flatnonzero(spans[:-1] == 0) + 1, n]
+    del spans
+    # ei is sorted, so each range's edges are one slice of the edge arrays
+    firsts = np.searchsorted(ei, bounds)
+    for a, b, e0, e1 in zip(bounds, bounds[1:], firsts, firsts[1:]):
+        dissect(np.arange(a, b), (ei[e0:e1], ej[e0:e1]))
     return np.concatenate(blocks)
 
 

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chdbc import cli, mesh as meshmod
+from chdbc import analysis, cli, mesh as meshmod
 from chdbc.cli import _csv, main
 from chdbc.integrator import bdf_scheme, run
 from chdbc.mesh import generate_disk_mesh, import_mesh, validate_mesh
-from chdbc.problems import evolution_problem
+from chdbc.problems import evolution_problem, problem_by_name
 
 
 def read(path):
@@ -114,6 +114,36 @@ def test_convergence_builds_each_refinement_mesh_once(tmp_path, monkeypatch):
     assert calls == [(20, 1.0), (40, 1.0)]
 
 
+@pytest.mark.parametrize("start_mode", ["exact", "bootstrap"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("problem", ["linear", "nonlinear"])
+def test_convergence_steps_all_refinements_as_one_run_bitwise(
+        tmp_path, monkeypatch, problem, k, start_mode):
+    # cli.integrator and cli.analysis are the modules, so `run` (imported
+    # above) and `final_error` stay the originals
+    runs, errors = [], []
+    monkeypatch.setattr(cli.integrator, "run",
+                        lambda *a, **kw: runs.append(a) or run(*a, **kw))
+    final_error = analysis.final_error
+    monkeypatch.setattr(cli.analysis, "final_error", lambda traj, spec, m: errors.append(
+        (traj, m, final_error(traj, spec, m))) or errors[-1][2])
+    taus = (0.05, 0.025)
+    rc = main(["convergence", "--problem", problem, "--k", str(k),
+               "--refinements", "1,2,3", "--tau", "0.05", "--tau", "0.025",
+               "--T", "0.1", "--start-mode", start_mode,
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert [a[2] for a in runs] == list(taus)  # one run per tau
+    assert len(errors) == 3 * len(taus)
+    spec = problem_by_name(problem)
+    for n, (traj, m, report) in enumerate(errors):
+        assert m.node_count == 2 ** (n % 3 + 1) * 10
+        alone = run(spec, m, taus[n // 3], 0.1, bdf_scheme(k), start_mode=start_mode)
+        assert np.array_equal(traj.u_final, alone.u_final)
+        assert np.array_equal(traj.w_final, alone.w_final)
+        assert report == final_error(alone, spec, m)
+
+
 def test_mesh_large_target_is_fast(tmp_path):
     start = time.time()
     rc = main(["mesh", "--nodes", "2560", "--out", str(tmp_path / "big.mesh"),
@@ -179,6 +209,41 @@ def test_evolve_rejects_off_grid_snapshot_time(tmp_path):
               "--out", str(tmp_path / "evo")])
     assert exc.value.code == 2
     assert not (tmp_path / "evo").exists()
+
+
+def test_evolve_refuses_two_snapshot_times_on_one_step(tmp_path, capsys):
+    # both times fall on step 0, and each would be written as its own file
+    out = tmp_path / "evo"
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--nodes", "20", "--radius", "1", "--T", "0.01",
+              "--tau", "0.005", "--snapshots", "0,1e-13", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "times 0.0 and 1e-13 both fall on step 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_refuses_two_snapshot_steps_that_name_one_file(tmp_path, capsys):
+    # 100000.2 and 100000.4 both print as 100000 with :g, so a run reaching
+    # them would end with both renders competing for one temporary file
+    out = tmp_path / "evo"
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--nodes", "20", "--radius", "1", "--T", "100000.4",
+              "--tau", "0.2", "--snapshots", "100000.2,100000.4", "--out", str(out)])
+    assert exc.value.code == 2
+    assert ("times 100000.2 and 100000.4 (steps 500001 and 500002) both name "
+            "snapshot_t100000" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("times, name", [("0,0", "0"),
+                                         ("0.005,0.0050000000000001", "0.005")])
+def test_evolve_writes_one_file_for_times_that_share_a_step_and_name(
+        tmp_path, times, name):
+    out = tmp_path / "evo"
+    rc = main(["evolve", "--nodes", "20", "--radius", "1", "--T", "0.01",
+               "--tau", "0.005", "--snapshots", times, "--out", str(out)])
+    assert rc == 0
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", f"snapshot_t{name}.csv"]
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from chdbc import integrator
 from chdbc.assembly import assemble_mass, assemble_stiffness
-from chdbc.mesh import generate_disk_mesh
+from chdbc.mesh import Mesh2D, disjoint_union, generate_disk_mesh
 from chdbc.problems import manufactured_linear
 from chdbc.saddle import build_step_matrix, nested_dissection_order
 
@@ -148,6 +150,50 @@ def test_no_edge_joins_the_halves_of_the_top_level_split():
     upper = mesh.nodes[order[n // 2 - s:n - s]]
     rest = mesh.nodes[np.concatenate([order[:n // 2 - s], order[n - s:]])]
     assert any(rest[:, axis].max() <= upper[:, axis].min() for axis in (0, 1))
+
+
+@pytest.mark.parametrize("parts", [[(20, 1.0), (80, 1.0)],
+                                   [(160, 1.0), (40, 10.0), (320, 2.0)]])
+def test_a_disjoint_union_is_ordered_part_by_part(parts):
+    # no edge spans the index where a part ends, so each part is dissected
+    # on its own and gets its standalone order, offset by its first index
+    meshes = [generate_disk_mesh(n, r) for n, r in parts]
+    union = disjoint_union(meshes)
+    order = nested_dissection_order(union.nodes, assemble_mass(union))
+    first, expected = 0, []
+    for m in meshes:
+        expected.append(nested_dissection_order(m.nodes, assemble_mass(m)) + first)
+        first += m.node_count
+    assert np.array_equal(order, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_relabelled_connected_mesh_has_no_cut(seed):
+    mesh = generate_disk_mesh(320, 1.0)
+    n = mesh.node_count
+    label = np.random.default_rng(seed).permutation(n)
+    relabelled = Mesh2D(nodes=mesh.nodes[np.argsort(label)],
+                        triangles=label[mesh.triangles],
+                        boundary_edges=label[mesh.boundary_edges])
+    edges = np.sort(relabelled.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2))
+    spanned = np.zeros(n, dtype=bool)
+    for i, j in edges:
+        spanned[i:j] = True
+    assert spanned[:-1].all()  # every index below n - 1 is spanned: no cut
+    order = nested_dissection_order(relabelled.nodes, assemble_mass(relabelled))
+    np.testing.assert_array_equal(np.sort(order), np.arange(n))
+
+
+@pytest.mark.parametrize("nodes, digest", [
+    (640, "d8529cf4e3161af8f4c021a08e363b757935b83fab49243e2e77e399d5eeb72d"),
+    (40960, "3a32809d89e7e050b095acabd8f0947fb4272e0a92c12333d60c569ba577ffbe"),
+])
+def test_connected_evolve_meshes_keep_their_order(nodes, digest):
+    # sha256 of the order of the radius-10 evolve mesh before index cuts
+    # were looked for; a connected mesh has none, so it must not move
+    mesh = generate_disk_mesh(nodes, 10.0)
+    order = nested_dissection_order(mesh.nodes, assemble_mass(mesh))
+    assert hashlib.sha256(order.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("delta0_over_tau", [800.0, 7e4, 1e7])

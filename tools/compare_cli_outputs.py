@@ -31,6 +31,13 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
      ["convergence", "--problem", "nonlinear", "--start-mode", "bootstrap"]),
     ("convergence-linear-k1-bootstrap",
      ["convergence", "--problem", "linear", "--k", "1", "--start-mode", "bootstrap"]),
+    # non-default sweeps: a gap in the refinements with a 640-node mesh at
+    # k = 2, and a sweep of one mesh
+    ("convergence-nonlinear-k2-gapped",
+     ["convergence", "--problem", "nonlinear", "--k", "2", "--refinements", "1,3,6",
+      "--tau", "0.01", "--tau", "0.02", "--T", "0.2"]),
+    ("convergence-linear-one-mesh",
+     ["convergence", "--problem", "linear", "--refinements", "4", "--T", "0.1"]),
     ("evolve-vtk", ["evolve", "--seed", "0", "--vtk", "--out", "out"]),
     ("evolve-k2-small-tau",
      ["evolve", "--nodes", "160", "--radius", "1", "--k", "2", "--tau", "1e-5",
