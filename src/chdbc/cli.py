@@ -68,6 +68,28 @@ def _emit(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_out_file(path: Optional[str]) -> None:
+    # refuse up front what _emit would fail on once the work is done
+    if not path:
+        return
+    where = os.path.dirname(path) or "."
+    if not os.path.isdir(where):
+        raise OSError(f"cannot write {path!r}: directory {where!r} does not exist")
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path!r}: it is a directory")
+
+
+def _check_out_dir(path: str) -> None:
+    # os.makedirs fails if the nearest existing path at or above `path` is
+    # not a directory; "" stands for the working directory
+    there = path
+    while there and not os.path.lexists(there):
+        there = os.path.dirname(there)
+    if there and not os.path.isdir(there):
+        raise OSError(f"cannot create output directory {path!r}: "
+                      f"{there!r} is not a directory")
+
+
 def _list_of(convert: Callable, kind: str) -> Callable[[str], list]:
     # an argparse type for a comma-separated list of `kind`
     def parse(text: str) -> list:
@@ -157,6 +179,7 @@ def cmd_convergence(args, parser) -> int:
         parser.error("refinement indices must lie in [1, 8]")
     for tau in taus:
         _on_grid(parser, "convergence", integrator.step_count, tau, args.T, args.k)
+    _check_out_file(args.out)
     problem = problems.problem_by_name(args.problem)
     scheme = integrator.bdf_scheme(args.k)
     # the manufactured forcings are derived on the unit disk
@@ -240,6 +263,7 @@ def cmd_evolve(args, parser) -> int:
             parser.error(f"--snapshots: times {snap_steps[n]} and {t} (steps {n} "
                          f"and {idx}) both name snapshot_t{name}")
         snap_steps[idx] = t
+    _check_out_dir(args.out)
 
     problem = problems.evolution_problem(strength=args.strength, seed=args.seed)
     m = meshmod.generate_disk_mesh(args.nodes, args.radius)
@@ -268,6 +292,7 @@ def cmd_evolve(args, parser) -> int:
 
 def cmd_mesh(args, parser) -> int:
     _check_disk(args, parser)
+    _check_out_file(args.out)
     m = meshmod.generate_disk_mesh(args.nodes, args.radius)
     text = meshmod.export_mesh(m)
     if args.validate:

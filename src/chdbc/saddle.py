@@ -17,8 +17,10 @@ nested-dissection order (George 1973; Lipton, Rose and Tarjan 1979).
 SuperLU keeps that order and pivots on the diagonal unless a diagonal entry
 falls below PIVOT_THRESHOLD times the largest entry of its column; the
 Hermitian part of M - i s A is the positive definite M at every step size.
-Why this is safe and accurate, and what it saves, is set out in the
-README's "Solver" section.
+While SuperLU factorizes, the permuted M - i s A it reads is the only
+complex copy alive, and it works on panels of PANEL_SIZE columns, whose
+dense work array holds N x PANEL_SIZE complex entries. Why this is safe and
+accurate, and what it saves, is set out in the README's "Solver" section.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ import scipy.sparse.linalg as spla
 
 LEAF_SIZE = 32
 PIVOT_THRESHOLD = 0.1
+# SuperLU's default is 20; 4 cuts the panel work with the same fill and time
+# (README "Solver"). Above 20, SciPy 1.17.1's splu corrupted its heap.
+PANEL_SIZE = 4
 
 
 def _edges(M: sp.spmatrix):
@@ -151,11 +156,14 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
                          f"got {M.shape} and {A.shape}")
     if not (delta0_over_tau > 0):
         raise ValueError(f"delta0/tau must be positive, got {delta0_over_tau}")
-    # SuperLU keeps the order of P C P^T and pivots as the module docstring says
-    C = sp.csr_matrix(M - 1j * delta0_over_tau ** -0.5 * A)
+    # SuperLU keeps the order of P C P^T and pivots as the module docstring
+    # says. C and its row-permuted copy are temporaries of this one
+    # expression, so P C P^T is the only complex matrix left when it runs.
+    permuted = sp.csc_matrix(
+        sp.csr_matrix(M - 1j * delta0_over_tau ** -0.5 * A)[order][:, order])
     try:
-        lu = spla.splu(sp.csc_matrix(C[order][:, order]), permc_spec="NATURAL",
-                       diag_pivot_thresh=PIVOT_THRESHOLD,
+        lu = spla.splu(permuted, permc_spec="NATURAL",
+                       diag_pivot_thresh=PIVOT_THRESHOLD, panel_size=PANEL_SIZE,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise RuntimeError(

@@ -422,6 +422,55 @@ def test_failed_rename_leaves_the_existing_file(tmp_path, monkeypatch, command):
     assert os.listdir(tmp_path) == ["existing.txt"]
 
 
+EVOLVE_SHORT = ["evolve", "--nodes", "40", "--radius", "1", "--tau", "0.01",
+                "--T", "0.02", "--snapshots", "0"]
+CONVERGENCE_SHORT = ["convergence", "--problem", "linear", "--refinements", "1",
+                     "--tau", "0.025", "--T", "0.1"]
+
+
+@pytest.mark.parametrize("command, out, named", [
+    # evolve --out: os.makedirs fails on an existing file at or above it
+    (EVOLVE_SHORT, "a_file", "a_file"),
+    (EVOLVE_SHORT, "a_file/run", "a_file"),
+    (EVOLVE_SHORT, "a_file/", "a_file"),
+    # a file --out needs an existing directory and must not be one itself
+    (CONVERGENCE_SHORT, "nodir/t.csv", "nodir"),
+    (CONVERGENCE_SHORT, "a_file/t.csv", "a_file"),
+    (CONVERGENCE_SHORT, "a_dir", "a_dir"),
+    (["mesh", "--nodes", "20"], "nodir/m.mesh", "nodir"),
+    (["mesh", "--nodes", "20"], "a_dir", "a_dir"),
+])
+def test_an_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                  command, out, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.meshmod, "generate_disk_mesh", no_work)
+    monkeypatch.setattr(cli.integrator, "run", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_bytes(b"kept\n")
+    (tmp_path / "a_dir").mkdir()
+    assert main(command + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"chdbc {command[0]}: error: " in err
+    assert repr(out) in err and repr(named) in err
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"]
+    assert read(tmp_path / "a_file") == b"kept\n"
+    assert os.listdir(tmp_path / "a_dir") == []
+
+
+@pytest.mark.parametrize("command, out", [
+    (EVOLVE_SHORT, "new/run"),
+    (EVOLVE_SHORT, "a_dir"),
+    (CONVERGENCE_SHORT, "t.csv"),
+])
+def test_a_writable_out_passes_the_check(tmp_path, monkeypatch, command, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    assert main(command + ["--out", out]) == 0
+    assert (tmp_path / out).exists()
+
+
 def test_written_files_get_the_permission_bits_of_a_plain_open(tmp_path):
     out = tmp_path / "disk.mesh"
     assert main(["mesh", "--nodes", "20", "--out", str(out)]) == 0

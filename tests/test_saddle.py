@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import numpy as np
@@ -9,7 +10,8 @@ from chdbc import integrator
 from chdbc.assembly import assemble_mass, assemble_stiffness
 from chdbc.mesh import Mesh2D, disjoint_union, generate_disk_mesh
 from chdbc.problems import manufactured_linear
-from chdbc.saddle import build_step_matrix, nested_dissection_order
+from chdbc import saddle
+from chdbc.saddle import PANEL_SIZE, build_step_matrix, nested_dissection_order
 
 
 def _one_by_one(m, a, ratio):
@@ -247,3 +249,32 @@ def test_step_matrix_holds_no_block_matrix():
     shape = (2 * mesh.node_count,) * 2
     assert K.matrix.shape == shape
     assert not any(sp.issparse(v) and v.shape == shape for v in held)
+
+
+def test_superlu_reads_the_only_complex_copy_with_a_small_panel(monkeypatch):
+    # While SuperLU factorizes, the permuted M - i s A it reads is the only
+    # complex matrix of the system's shape alive: the unpermuted one and the
+    # row-permuted one are gone. This holds for a bootstrap's BDF1 matrix
+    # and for the main step matrix. Temporaries must go by reference count,
+    # so the scan runs without a collection.
+    # PANEL_SIZE stays within SuperLU's default of 20: with SciPy 1.17.1,
+    # factorizing a 2560-node step matrix with panel_size 24, 28, 32 or 64
+    # corrupted the heap in some runs (a glibc abort or a segfault after
+    # the factorization, with or without MALLOC_CHECK_=3).
+    assert 1 <= PANEL_SIZE <= 20
+    mesh = generate_disk_mesh(320, 1.0)
+    shape = (mesh.node_count,) * 2
+    splu, calls = spla.splu, []
+
+    def checked(A, **kwargs):
+        alive = [o for o in gc.get_objects() if sp.issparse(o)
+                 and o.shape == shape and np.iscomplexobj(o.data)]
+        calls.append(kwargs["panel_size"])
+        assert len(alive) == 1 and alive[0] is A
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", checked)
+    gc.collect()
+    integrator.run(manufactured_linear(), mesh, 0.01, 0.05,
+                   integrator.bdf_scheme(2), start_mode="bootstrap")
+    assert calls == [PANEL_SIZE, PANEL_SIZE]

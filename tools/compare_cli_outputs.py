@@ -7,18 +7,24 @@ command of COMMANDS then runs once on each tree, with one BLAS thread and in
 a fresh working directory. The exit codes, stdout, stderr and every file a
 command writes are compared byte for byte. Prints one line per command and
 exits 1 if any of them differs, 0 if none does.
+
+An output whose bytes differ but whose numbers line up one for one (the
+same text between them) is a round-off candidate: it gets a second line
+with the largest relative difference of its numbers, |a - b| / max(|a|, |b|),
+and the row where it occurs. It still counts as a difference.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -52,6 +58,8 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
       "--T", "1", "--snapshots", "0", "--out", "out"]),
 )
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
 ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
@@ -79,6 +87,27 @@ def run_command(src: Path, args: List[str], cwd: Path) -> Dict[str, bytes]:
     return result
 
 
+def numeric_diff(old: bytes, new: bytes) -> Optional[str]:
+    """Describe the largest relative difference of the numbers of two texts.
+
+    None unless the texts hold the same text between their numbers; the row
+    is a line number and the line of `new`.
+    """
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    worst, at = 0.0, 0
+    for a, b in zip(NUMBER.finditer(old), NUMBER.finditer(new)):
+        x, y = float(a[0]), float(b[0])
+        rel = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+        if rel > worst:
+            worst, at = rel, b.start()
+    if worst == 0.0:
+        return "numbers equal, spelled differently"
+    row = new.count(b"\n", 0, at)
+    line = new.split(b"\n")[row].decode(errors="replace")
+    return f"numbers differ by at most {worst:.2e} relative, row {row + 1}: {line}"
+
+
 def main(argv: List[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/compare_cli_outputs.py REV", file=sys.stderr)
@@ -102,6 +131,11 @@ def main(argv: List[str]) -> int:
             print(f"{name}: " + (f"DIFFERS in {', '.join(diffs)}" if diffs else
                                  f"same (exit {new['exit code'].decode()}, "
                                  f"{len(new) - 3} file(s))"))
+            for key in diffs:
+                if key in old and key in new:
+                    detail = numeric_diff(old[key], new[key])
+                    if detail:
+                        print(f"  {key}: {detail}")
         print(f"{differ} of {len(COMMANDS)} command(s) differ from {rev}")
         return 1 if differ else 0
 
