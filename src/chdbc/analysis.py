@@ -24,26 +24,26 @@ class ErrorReport:
     err_w_H1: float
 
 
+def _norm(e: np.ndarray, *forms) -> float:
+    """sqrt(sum of e^T F e over the forms F), summed in the given order."""
+    e = np.asarray(e, dtype=float)
+    n = forms[0].shape[0]
+    if e.shape != (n,):
+        raise ValueError(f"vector length {e.shape} does not match {n}")
+    q = sum(float(e @ (F @ e)) for F in forms)
+    if q < -1e-12 * max(1.0, float(e @ e)):
+        raise ValueError(f"quadratic form is negative ({q})")
+    return math.sqrt(max(q, 0.0))
+
+
 def l2_norm(M, e: np.ndarray) -> float:
     """Discrete L2 norm sqrt(e^T M e) over bulk and surface together."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (M.shape[0],):
-        raise ValueError(f"vector length {e.shape} does not match {M.shape[0]}")
-    q = float(e @ (M @ e))
-    if q < -1e-12 * max(1.0, float(e @ e)):
-        raise ValueError(f"quadratic form is negative ({q}); M is not SPD")
-    return math.sqrt(max(q, 0.0))
+    return _norm(e, M)
 
 
 def h1_norm(M, A, e: np.ndarray) -> float:
     """Discrete H1 norm sqrt(e^T (A + M) e)."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (M.shape[0],):
-        raise ValueError(f"vector length {e.shape} does not match {M.shape[0]}")
-    q = float(e @ (A @ e)) + float(e @ (M @ e))
-    if q < -1e-12 * max(1.0, float(e @ e)):
-        raise ValueError(f"quadratic form is negative ({q})")
-    return math.sqrt(max(q, 0.0))
+    return _norm(e, A, M)
 
 
 def final_error(trajectory: Trajectory, problem: ProblemSpec,

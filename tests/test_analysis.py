@@ -6,8 +6,8 @@ import pytest
 from chdbc import analysis, assembly
 from chdbc.analysis import eoc, final_error, h1_norm, l2_norm
 from chdbc.integrator import Stepper, Trajectory, bdf_scheme, run
-from chdbc.mesh import (boundary_length, bulk_area, generate_disk_mesh, import_mesh,
-                        mesh_size)
+from chdbc.mesh import (generate_disk_mesh, import_mesh, mesh_size, segment_lengths,
+                        signed_areas)
 from chdbc.problems import evolution_problem, manufactured_linear
 
 TRI = """\
@@ -41,14 +41,18 @@ def test_l2_norm_examples(tri_bulk_mass):
                                               rel=1e-14)
 
 
-def test_l2_norm_rejects_broken_quadratic_form():
+@pytest.mark.parametrize("norm", [
+    l2_norm,
+    lambda F, e: h1_norm(F, F, e),
+], ids=["l2_norm", "h1_norm"])
+def test_norms_reject_broken_quadratic_form(norm):
     import scipy.sparse as sp
 
     bad = sp.csr_matrix(np.array([[-1.0]]))
-    with pytest.raises(ValueError, match="negative"):
-        l2_norm(bad, np.ones(1))
-    with pytest.raises(ValueError, match="match"):
-        l2_norm(bad, np.ones(2))
+    with pytest.raises(ValueError, match=r"quadratic form is negative \(-"):
+        norm(bad, np.ones(1))
+    with pytest.raises(ValueError, match=r"vector length \(2,\) does not match 1"):
+        norm(bad, np.ones(2))
 
 
 def test_h1_norm_examples():
@@ -98,7 +102,7 @@ def test_total_mass_examples():
     n = mesh.node_count
     assert stepper.mass(np.zeros(n)) == 0.0
     assert stepper.mass(np.ones(n)) == pytest.approx(
-        bulk_area(mesh) + boundary_length(mesh), rel=1e-12)
+        signed_areas(mesh).sum() + segment_lengths(mesh).sum(), rel=1e-12)
 
 
 def test_gl_energy_examples():
@@ -109,7 +113,7 @@ def test_gl_energy_examples():
     stepper = Stepper(evolution_problem(strength=10.0), mesh, 0.01, bdf_scheme(1))
     assert stepper.energy(np.ones(n)) == pytest.approx(0.0, abs=1e-10)
     assert stepper.energy(np.zeros(n)) == pytest.approx(
-        10.0 * (bulk_area(mesh) + boundary_length(mesh)), rel=1e-12)
+        10.0 * (signed_areas(mesh).sum() + segment_lengths(mesh).sum()), rel=1e-12)
     pm = evolution_problem(seed=3).u0(mesh.nodes[:, 0], mesh.nodes[:, 1], 0.0)
     e = stepper.energy(pm)
     assert e > 0.0

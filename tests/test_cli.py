@@ -304,6 +304,22 @@ def test_a_malformed_list_is_a_usage_error(tmp_path, capsys, command, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,message", [
+    (["convergence", "--problem", "linear", "--refinements", ","],
+     "no refinements given"),
+    (["evolve", "--snapshots", "5"],
+     "--snapshots: time 5.0 lies outside [0, "),
+])
+def test_an_empty_refinement_list_or_a_late_snapshot_is_a_usage_error(
+        tmp_path, capsys, command, message):
+    out = tmp_path / "d"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["evolve", "--T", "inf"],
     ["evolve", "--T", "nan"],

@@ -115,6 +115,19 @@ def test_step_requires_exact_history_length():
                  np.zeros(1))
 
 
+def test_step_aborts_on_a_non_finite_solution():
+    class NaNSolve:  # a step matrix whose solve has blown up
+        delta0_over_tau = 1.0
+
+        def solve(self, b):
+            return np.full_like(b, np.nan)
+
+    M = sp.csr_matrix(np.eye(2))
+    with pytest.raises(ValueError, match="non-finite solution"):
+        bdf_step(LINEAR, bdf_scheme(1), NaNSolve(), M, [np.zeros(2)],
+                 np.zeros(2), np.zeros(2))
+
+
 def test_exact_starting_values_sample_the_solution():
     mesh = import_mesh(MESH_WITH_CENTER_NODE)
     tau, k = 0.0025, 3

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from chdbc.mesh import (
     Mesh2D,
     MeshFormatError,
-    boundary_length,
-    bulk_area,
+    disjoint_union,
     export_mesh,
     generate_disk_mesh,
     import_mesh,
     mesh_size,
+    segment_lengths,
+    signed_areas,
     validate_mesh,
 )
 
@@ -112,10 +113,10 @@ def test_area_and_perimeter_bounds():
     for target, radius in ((20, 1.0), (80, 1.0), (320, 1.0), (640, 10.0)):
         m = generate_disk_mesh(target, radius)
         h = mesh_size(m)
-        area = bulk_area(m)
+        area = signed_areas(m).sum()
         disk = math.pi * radius * radius
         assert disk * (1 - (h / radius) ** 2) <= area <= disk
-        assert boundary_length(m) < 2 * math.pi * radius
+        assert segment_lengths(m).sum() < 2 * math.pi * radius
 
 
 def test_export_import_round_trip():
@@ -306,6 +307,88 @@ def test_validate_edge_incidence_errors_in_check_order(case, message):
     validate_mesh(m)
     with pytest.raises(ValueError, match=message):
         validate_mesh(broken)
+
+
+def test_validate_catches_a_reversed_boundary_edge():
+    m = generate_disk_mesh(20, 1.0)
+    edges = m.boundary_edges.copy()
+    edges[0] = edges[0, ::-1]
+    node = int(edges[0, 0])  # its own outgoing edge is edges[1]
+    with pytest.raises(ValueError,
+                       match=f"^boundary node {node} has two outgoing edges$"):
+        validate_mesh(Mesh2D(nodes=m.nodes, triangles=m.triangles,
+                             boundary_edges=edges, radius=1.0))
+
+
+def test_validate_catches_two_boundary_cycles():
+    disk = generate_disk_mesh(20, 1.0)
+    with pytest.raises(ValueError, match="^boundary edges form more than one cycle$"):
+        validate_mesh(disjoint_union([disk, disk]))
+
+
+@pytest.mark.parametrize("nodes, triangles, edges, message", [
+    (np.zeros((3, 3)), [[0, 1, 2]], [[0, 1]], r"nodes must be an \(n, 2\) array"),
+    (np.eye(3)[:, :2], [[0, 1]], [[0, 1]], r"triangles must be a \(t, 3\) array"),
+    (np.eye(3)[:, :2], [[0, 1, 2]], [0, 1],
+     r"boundary_edges must be a \(b, 2\) array"),
+])
+def test_mesh_rejects_a_wrongly_shaped_array(nodes, triangles, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Mesh2D(nodes=nodes, triangles=triangles, boundary_edges=edges)
+
+
+@pytest.mark.parametrize("triangles, edges, message", [
+    (np.empty((0, 3)), [[0, 1], [1, 2], [2, 0]], "mesh has no triangles"),
+    ([[0, 1, 7]], [[0, 1], [1, 2], [2, 0]], "triangle node index out of range"),
+    ([[0, -1, 2]], [[0, 1], [1, 2], [2, 0]], "triangle node index out of range"),
+    ([[0, 1, 2]], np.empty((0, 2)), "mesh has no boundary edges"),
+    ([[0, 1, 2]], [[0, 1], [1, 2], [2, 7]], "boundary edge node index out of range"),
+    ([[0, 1, 2]], [[0, 1], [1, 2], [2, -1]], "boundary edge node index out of range"),
+])
+def test_validate_rejects_missing_or_out_of_range_connectivity(triangles, edges,
+                                                                message):
+    m = Mesh2D(nodes=np.eye(3)[:, :2], triangles=triangles, boundary_edges=edges)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_mesh(m)
+
+
+@st.composite
+def _reoriented_boundaries(draw):
+    """A small disk or two, with boundary edges reversed at will and shuffled.
+
+    Every such edge list passes the exposed-edge match, so only the boundary
+    walk can reject it. Returns the mesh and the message it must raise (None
+    when it must pass): two outgoing edges unless each disk's boundary keeps
+    one orientation, then more than one cycle for two disks.
+    """
+    disks = [generate_disk_mesh(n, 1.0) for n in
+             draw(st.sampled_from([[5], [20], [5, 5], [5, 20]]))]
+    union = disks[0] if len(disks) == 1 else disjoint_union(disks)
+    edges = union.boundary_edges.copy()
+    flips = np.array(draw(st.lists(st.booleans(), min_size=len(edges),
+                                   max_size=len(edges))))
+    edges[flips] = edges[flips, ::-1]
+    edges = edges[draw(st.permutations(range(len(edges))))]
+    parts = np.split(flips, np.cumsum([len(d.boundary_edges) for d in disks])[:-1])
+    if not all(p.all() or not p.any() for p in parts):
+        message = "two outgoing edges"
+    else:
+        message = "more than one cycle" if len(disks) > 1 else None
+    mesh = Mesh2D(nodes=union.nodes, triangles=union.triangles,
+                  boundary_edges=edges, radius=union.radius)
+    return mesh, message
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_reoriented_boundaries())
+def test_boundary_walk_raises_only_its_two_messages(case):
+    # a KeyError or a hang would mean the walk met a node without a successor
+    mesh, message = case
+    if message is None:
+        validate_mesh(mesh)
+    else:
+        with pytest.raises(ValueError, match=message):
+            validate_mesh(mesh)
 
 
 def _reference_connectivity(target_nodes):

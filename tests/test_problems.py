@@ -92,6 +92,34 @@ def test_residual_oracle_catches_sign_error():
     assert verify_manufactured(bad, pts, (0.0,)) >= 0.1
 
 
+def criterion_9_points():
+    """Acceptance criterion 9's sample points: 20 inside the disk, 20 on the circle."""
+    rng = np.random.default_rng(0)
+    r = 0.95 * np.sqrt(rng.random(20))
+    th = 2 * np.pi * rng.random(20)
+    th2 = 2 * np.pi * rng.random(20)
+    return (list(zip(r * np.cos(th), r * np.sin(th)))
+            + list(zip(np.cos(th2), np.sin(th2))))
+
+
+@pytest.mark.parametrize("term", ["f1_bulk", "f2_bulk", "f1_surf", "f2_surf",
+                                  "nonlinearity"])
+def test_residual_oracle_catches_each_wrong_term(term):
+    # each forcing negated, or the nonlinearity dropped, in turn
+    good = manufactured_nonlinear()
+    if term == "nonlinearity":
+        bad = dataclasses.replace(good, nonlinearity=lambda u: 0.0 * u)
+    else:
+        f = getattr(good, term)
+        bad = dataclasses.replace(good, **{term: lambda x, y, t: -f(x, y, t)})
+    assert verify_manufactured(good, criterion_9_points(), (0.0, 0.5, 1.0)) <= 1e-8
+    assert verify_manufactured(bad, criterion_9_points(), (0.0, 0.5, 1.0)) >= 0.1
+
+
+def test_residual_oracle_of_no_points_is_zero():
+    assert verify_manufactured(manufactured_linear(), [], (0.0, 1.0)) == 0.0
+
+
 def test_residual_oracle_requires_exact_solution():
     with pytest.raises(ValueError, match="exact"):
         verify_manufactured(evolution_problem(), [(0.1, 0.1)], (0.0,))
