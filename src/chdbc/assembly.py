@@ -55,7 +55,7 @@ def assemble_surface_mass(mesh: Mesh2D) -> sp.csr_matrix:
 
 
 def assemble_mass(mesh: Mesh2D) -> sp.csr_matrix:
-    """Full mass matrix: bulk triangle mass plus boundary segment mass."""
+    """The solver's M: bulk triangle mass plus boundary segment mass."""
     return assemble_bulk_mass(mesh) + assemble_surface_mass(mesh)
 
 

@@ -145,26 +145,29 @@ def _bootstrap_substeps(tau: float, k: int) -> int:
 class Stepper:
     """One problem on one mesh with one step size and scheme, from t_start.
 
-    Built once, it owns the assembled matrices, the mass weights, the load
-    evaluator and the node order every factorization eliminates in. Level n
-    lies at t = t_start + n tau, the starting values included. `stream`
-    factorizes the step matrix and yields the time levels one at a time.
+    Built once, it owns M and A (and M's bulk and surface parts when the
+    problem has a forcing), the mass weights, the load evaluator and the
+    node order every factorization eliminates in. Level n lies at t =
+    t_start + n tau, the starting values included. `stream` factorizes the
+    step matrix and yields the time levels one at a time.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh2D, tau: float,
                  scheme: BDFScheme, t_start: float = 0.0):
         self.problem, self.mesh, self.tau, self.scheme = problem, mesh, tau, scheme
         self.t_start = t_start
-        self.M_bulk = assembly.assemble_bulk_mass(mesh)
-        self.M_surf = assembly.assemble_surface_mass(mesh)
-        self.M = self.M_bulk + self.M_surf
+        self.M = assembly.assemble_mass(mesh)
         self.A = assembly.assemble_stiffness(mesh)
         # 1^T M: mass and the potential part of the energy integrate against it
         self.weights = np.asarray(self.M.sum(axis=0)).ravel()
         self.order = nested_dissection_order(mesh.nodes, self.M)
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))
-        self._forced = any(f is not zero_field for pair in self._forcings for f in pair)
+        # M's (bulk, surface) parts, which only the loads read: None unforced
+        self.M_bulk = self.M_surf = None
+        if any(f is not zero_field for pair in self._forcings for f in pair):
+            self.M_bulk = assembly.assemble_bulk_mass(mesh)
+            self.M_surf = assembly.assemble_surface_mass(mesh)
 
     def loads(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The loads (b1, b2) at the S given times, each of shape (N, S).
@@ -173,7 +176,7 @@ class Stepper:
         M_bulk @ F_bulk + M_surf @ F_surf, with each forcing evaluated once
         on the node x time grid. Zero forcings are never evaluated.
         """
-        if not self._forced:
+        if self.M_bulk is None:
             zero = np.broadcast_to(0.0, (self.mesh.node_count, len(times)))
             return zero, zero
         b1, b2 = (
@@ -266,7 +269,8 @@ class Stepper:
         `starts` supplies the first k pairs (w is None at a bootstrap level
         0) and n_steps, at least k - 1, comes from `step_count`. The step
         matrix is factorized once the starting values are done, after a
-        bootstrap has released its own factorization.
+        bootstrap has released its own factorization, and not at all when
+        they fill the run (n_steps = k - 1).
         """
         k = self.scheme.k
         if n_steps < k - 1:
@@ -276,6 +280,8 @@ class Stepper:
         for n, (u, w) in enumerate(starts):
             recent.insert(0, u)
             yield n, self.t_start + n * self.tau, u, w
+        if n_steps == k - 1:
+            return
         K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,
                               self.order)
         yield from self._march(K, self.scheme, recent, range(k, n_steps + 1),

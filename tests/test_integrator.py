@@ -437,6 +437,37 @@ def test_final_state_does_not_depend_on_the_load_block_size(monkeypatch, k, star
     assert final(2 ** 30) == default  # one block
 
 
+def _same_csr(a, b):
+    return (a.format == b.format == "csr" and a.shape == b.shape
+            and a.indptr.tobytes() == b.indptr.tobytes()
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.data.tobytes() == b.data.tobytes())
+
+
+@pytest.mark.parametrize("problem", [manufactured_linear(), evolution_problem()],
+                         ids=["forced", "unforced"])
+def test_stepper_mass_is_the_one_assemble_mass(monkeypatch, problem):
+    # the solver steps with the very matrix the brute-force oracle checks
+    assemble_mass, built = assembly.assemble_mass, []
+
+    def recording(mesh):
+        built.append(assemble_mass(mesh))
+        return built[-1]
+
+    monkeypatch.setattr(assembly, "assemble_mass", recording)
+    mesh = generate_disk_mesh(160, 1.0)
+    stepper = Stepper(problem, mesh, 0.01, bdf_scheme(2))
+    assert len(built) == 1 and stepper.M is built[0]
+    assert _same_csr(stepper.M, assemble_mass(mesh))
+
+
+def test_a_forced_stepper_holds_the_assembled_mass_parts_bitwise():
+    mesh = generate_disk_mesh(160, 1.0)
+    stepper = Stepper(ProblemSpec(f2_surf=lambda x, y, t: 1.0), mesh, 0.01, bdf_scheme(1))
+    assert _same_csr(stepper.M_bulk, assembly.assemble_bulk_mass(mesh))
+    assert _same_csr(stepper.M_surf, assembly.assemble_surface_mass(mesh))
+
+
 def test_a_constant_forcing_loads_like_its_interpolant():
     mesh = generate_disk_mesh(40, 1.0)
     stepper = Stepper(ProblemSpec(f1_bulk=lambda x, y, t: 1.0), mesh, 0.01, bdf_scheme(1))

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from chdbc import integrator
 from chdbc.assembly import assemble_mass, assemble_stiffness
 from chdbc.mesh import Mesh2D, disjoint_union, generate_disk_mesh
-from chdbc.problems import manufactured_linear
+from chdbc.problems import evolution_problem, manufactured_linear
 from chdbc import saddle
 from chdbc.saddle import PANEL_SIZE, build_step_matrix, nested_dissection_order
 
@@ -91,6 +91,25 @@ def test_factorization_happens_once(monkeypatch):
                            integrator.bdf_scheme(k), start_mode=start_mode)
             counts.append(len(calls))
         assert counts == [expected, expected]
+
+
+def test_no_main_factorization_when_the_starting_values_fill_the_run(monkeypatch):
+    # n_steps = k - 1: no step reads the main step matrix, so it is never
+    # built; a bootstrap still factorizes its BDF1 matrix once
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_step_matrix(*args)
+
+    monkeypatch.setattr(integrator, "build_step_matrix", counting)
+    mesh = generate_disk_mesh(40, 1.0)
+    for start_mode, expected in (("exact", 0), ("bootstrap", 1)):
+        calls.clear()
+        traj = integrator.run(manufactured_linear(), mesh, 0.01, 0.02,
+                              integrator.bdf_scheme(3), start_mode=start_mode)
+        assert len(traj.times) == 3
+        assert len(calls) == expected, start_mode
 
 
 def test_rejects_bad_inputs():
@@ -278,3 +297,27 @@ def test_superlu_reads_the_only_complex_copy_with_a_small_panel(monkeypatch):
     integrator.run(manufactured_linear(), mesh, 0.01, 0.05,
                    integrator.bdf_scheme(2), start_mode="bootstrap")
     assert calls == [PANEL_SIZE, PANEL_SIZE]
+
+
+def test_an_unforced_run_holds_only_M_and_A(monkeypatch):
+    # M's bulk and surface parts are read by the loads alone, so a run
+    # without a forcing builds neither: at each factorization the only real
+    # sparse matrices of the mesh's shape alive are the stepper's M and A
+    mesh = generate_disk_mesh(320, 1.0)
+    shape = (mesh.node_count,) * 2
+    splu, alive_at_calls = spla.splu, []
+
+    def checked(A, **kwargs):
+        alive_at_calls.append([o for o in gc.get_objects() if sp.issparse(o)
+                               and o.shape == shape and not np.iscomplexobj(o.data)])
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(saddle.spla, "splu", checked)
+    stepper = integrator.Stepper(evolution_problem(), mesh, 1e-5, integrator.bdf_scheme(2))
+    assert stepper.M_bulk is None and stepper.M_surf is None
+    gc.collect()
+    for _ in stepper.stream(3, stepper.starts("bootstrap")):
+        pass
+    assert len(alive_at_calls) == 2  # the bootstrap's BDF1 matrix and the main one
+    for alive in alive_at_calls:
+        assert sorted(map(id, alive)) == sorted((id(stepper.M), id(stepper.A)))

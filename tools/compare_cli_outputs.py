@@ -44,6 +44,10 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
       "--tau", "0.01", "--tau", "0.02", "--T", "0.2"]),
     ("convergence-linear-one-mesh",
      ["convergence", "--problem", "linear", "--refinements", "4", "--T", "0.1"]),
+    # at T = 0.05 the tau = 0.025 run is two steps, all starting values of
+    # BDF3, so no main step matrix is factorized
+    ("convergence-nonlinear-starts-only",
+     ["convergence", "--problem", "nonlinear", "--T", "0.05"]),
     ("evolve-vtk", ["evolve", "--seed", "0", "--vtk", "--out", "out"]),
     ("evolve-k2-small-tau",
      ["evolve", "--nodes", "160", "--radius", "1", "--k", "2", "--tau", "1e-5",
