@@ -25,13 +25,11 @@ accurate, and what it saves, is set out in the README's "Solver" section.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-LEAF_SIZE = 32
+LEAF_SIZE = 8
 PIVOT_THRESHOLD = 0.1
 # SuperLU's default is 20; 4 cuts the panel work with the same fill and time
 # (README "Solver"). Above 20, SciPy 1.17.1's splu corrupted its heap.
@@ -47,64 +45,86 @@ def _edges(M: sp.spmatrix):
     return upper.row.astype(np.int64), upper.col.astype(np.int64)
 
 
-def _bisect(nodes: np.ndarray, idx: np.ndarray, ei: np.ndarray,
-            ej: np.ndarray, side: np.ndarray):
-    """Split node set idx (edges ei-ej inside it) at the coordinate median.
-
-    Returns (lower, upper, separator, lower edges, upper edges): the
-    separator is the lower-side nodes with an upper-side neighbour, so no
-    edge joins what is left of the lower side to the upper side. `side` is
-    a work array over all nodes.
-    """
-    xy = nodes[idx]
-    axis = int(np.argmax(xy.max(axis=0) - xy.min(axis=0)))
-    half = len(idx) // 2
-    part = np.argpartition(xy[:, axis], half)
-    side[idx[part[:half]]] = 0
-    side[idx[part[half:]]] = 1
-    cross = side[ei] != side[ej]
-    side[np.where(side[ei[cross]] == 0, ei[cross], ej[cross])] = 2
-    si, sj = side[ei], side[ej]
-    low, up = (si == 0) & (sj == 0), (si == 1) & (sj == 1)
-    s = side[idx]
-    return (idx[s == 0], idx[s == 1], idx[s == 2],
-            (ei[low], ej[low]), (ei[up], ej[up]))
-
-
 def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
     """Node elimination order: halves first, each separator after its halves.
 
     A cut is an index i that no edge spans (no edge i' <= i < j'). The cuts
     split the nodes into index ranges with no edge between them, and each
-    range is ordered on its own, in index order: so a disjoint union of
-    meshes gets each part's own order, offset by its first index. A
-    connected mesh has no cut. Each range is bisected recursively until a
-    part holds at most LEAF_SIZE nodes; the neighbours come from the
-    off-diagonal pattern of M.
+    range is ordered on its own, the ranges in index order: so a disjoint
+    union of meshes gets each part's own order, offset by its first index.
+    A connected mesh has no cut. Each range is bisected recursively until a
+    part holds at most LEAF_SIZE nodes, numbered in index order; the
+    neighbours come from the off-diagonal pattern of M.
+
+    A part of m nodes splits at the median of one coordinate: its m // 2
+    nodes lowest by (coordinate, index) form the lower half. The separator
+    is either the lower-side or the upper-side ends of the edges joining
+    the halves, so no edge joins what is left of the two halves. Of the four
+    choices the smallest separator is taken, the first of equal ones in the
+    order x lower, x upper, y lower, y upper. Its nodes are numbered in
+    index order after both halves.
+
+    All parts of one level split at once. Each node gains one base-3 digit
+    per level, 0 or 1 for the half it falls in and 2 in a separator, and 0
+    once it is numbered, so sorting by (range, digits, index) gives the
+    order. A level halves every part, so an int64 key, 39 digits, covers
+    any mesh that fits in memory.
     """
     n = M.shape[0]
-    side = np.empty(n, dtype=np.int8)
-    blocks: List[np.ndarray] = []
-
-    def dissect(idx, edges):
-        if len(idx) <= LEAF_SIZE:
-            blocks.append(idx)
-            return
-        lower, upper, sep, low_edges, up_edges = _bisect(nodes, idx, *edges, side)
-        dissect(lower, low_edges)
-        dissect(upper, up_edges)
-        blocks.append(sep)
-
     ei, ej = _edges(M)
     # spans[i] counts the edges with ei <= i < ej
     spans = np.cumsum(np.bincount(ei, minlength=n) - np.bincount(ej, minlength=n))
-    bounds = np.r_[0, np.flatnonzero(spans[:-1] == 0) + 1, n]
+    ranges = np.r_[0, np.cumsum(spans[:-1] == 0)]
     del spans
-    # ei is sorted, so each range's edges are one slice of the edge arrays
-    firsts = np.searchsorted(ei, bounds)
-    for a, b, e0, e1 in zip(bounds, bounds[1:], firsts, firsts[1:]):
-        dissect(np.arange(a, b), (ei[e0:e1], ej[e0:e1]))
-    return np.concatenate(blocks)
+    key = np.zeros(n, dtype=np.int64)
+    # the parts still to split are numbered from 0, and part[v] is -1 once
+    # node v is numbered; by_axis lists the nodes of the parts part by part,
+    # each part sorted by (coordinate, index); ei-ej are the edges inside them
+    sizes = np.bincount(ranges)
+    big = sizes > LEAF_SIZE
+    part = np.where(big, np.cumsum(big) - 1, -1)[ranges]
+    sizes = sizes[big]
+    by_axis = [order[part[order] >= 0] for order in
+               (np.lexsort((nodes[:, a], ranges)) for a in (0, 1))]
+    inside = part[ei] >= 0
+    ei, ej = ei[inside], ej[inside]
+    while sizes.size:
+        # bit a of upper[v]: v lies in its part's upper half along axis a
+        firsts = np.cumsum(sizes) - sizes + sizes // 2
+        upper = np.zeros(n, dtype=np.uint8)
+        for a, listed in enumerate(by_axis):
+            upper[listed] += (np.arange(len(listed)) >= firsts[part[listed]]) * np.uint8(1 << a)
+        # bit 2a (2a + 1) of ends[v]: v is the lower (upper) end of an edge
+        # whose ends lie in different halves along axis a
+        ends = np.zeros(n, dtype=np.uint8)
+        ui = upper[ei]
+        cut = ui ^ upper[ej]
+        for a in (0, 1):
+            c = (cut >> a) & 1 == 1
+            i_up = (ui[c] >> a) & 1 == 1
+            ends[np.where(i_up, ej[c], ei[c])] |= np.uint8(1 << 2 * a)
+            ends[np.where(i_up, ei[c], ej[c])] |= np.uint8(2 << 2 * a)
+        idx = by_axis[0]
+        p, e = part[idx], ends[idx]
+        # the first of the smallest: x before y, then lower side before upper
+        choice = np.argmin([np.bincount(p[(e >> c) & 1 == 1], minlength=len(sizes))
+                            for c in range(4)], axis=0)[p]
+        side, sep = (upper[idx] >> (choice >> 1)) & 1, (e >> choice) & 1 == 1
+        key *= 3
+        key[idx] += np.where(sep, 2, side)
+        # the halves less the separator are the next level's parts, if large
+        child = 2 * p + side
+        sizes = np.bincount(child[~sep], minlength=2 * len(sizes))
+        big = sizes > LEAF_SIZE
+        part[idx] = np.where(sep, -1, np.where(big, np.cumsum(big) - 1, -1)[child])
+        sizes = sizes[big]
+        # stable: each new part keeps its (coordinate, index) order
+        by_axis = [listed[np.argsort(part[listed], kind="stable")]
+                   for listed in (listed[part[listed] >= 0] for listed in by_axis)]
+        pi = part[ei]
+        inside = (pi >= 0) & (pi == part[ej])
+        ei, ej = ei[inside], ej[inside]
+    return np.lexsort((key, ranges))
 
 
 class StepMatrix:
@@ -140,7 +160,9 @@ class StepMatrix:
         s = self.delta0_over_tau ** -0.5
         b = s * rhs[:n] + 1j * rhs[n:]
         z = np.empty_like(b)
-        z[self._order] = self._lu.solve(b[self._order])
+        # P C P^T is complex symmetric, so its transpose has the same solution;
+        # SuperLU's transposed substitution runs faster
+        z[self._order] = self._lu.solve(b[self._order], trans="T")
         return np.concatenate([s * z.real, z.imag])
 
 

@@ -206,15 +206,81 @@ def test_a_relabelled_connected_mesh_has_no_cut(seed):
 
 
 @pytest.mark.parametrize("nodes, digest", [
-    (640, "d8529cf4e3161af8f4c021a08e363b757935b83fab49243e2e77e399d5eeb72d"),
-    (40960, "3a32809d89e7e050b095acabd8f0947fb4272e0a92c12333d60c569ba577ffbe"),
+    (640, "ae50f5accafa5bb2b07198e4fc058a7e1a267c00d44549e8076de02f8df047db"),
+    (40960, "555f04b947b48e4c5fac912759695534c1822cfe444dc0a04ae94e72b00bd00d"),
 ])
 def test_connected_evolve_meshes_keep_their_order(nodes, digest):
-    # sha256 of the order of the radius-10 evolve mesh before index cuts
-    # were looked for; a connected mesh has none, so it must not move
+    # sha256 of the order of the radius-10 evolve mesh: it pins the order,
+    # and so the factor and the outputs, against unintended changes
     mesh = generate_disk_mesh(nodes, 10.0)
     order = nested_dissection_order(mesh.nodes, assemble_mass(mesh))
     assert hashlib.sha256(order.tobytes()).hexdigest() == digest
+
+
+def _reference_order(nodes, M):
+    """The dissection rule as a plain recursion, one part at a time."""
+    pattern = sp.triu(M, k=1).tocoo()
+    ei, ej = pattern.row, pattern.col
+    n = M.shape[0]
+    # reach[i]: the largest index joined to one at or below i; a cut where it is i
+    reach = np.arange(n)
+    np.maximum.at(reach, ei, ej)
+    reach = np.maximum.accumulate(reach)
+    ranges = np.split(np.arange(n), np.flatnonzero(reach[:-1] == np.arange(n - 1)) + 1)
+
+    def dissect(idx, ei, ej):
+        if len(idx) <= saddle.LEAF_SIZE:
+            return [idx]
+        best = None
+        for axis in (0, 1):
+            upper = np.zeros(n, dtype=bool)
+            upper[idx[np.lexsort((idx, nodes[idx, axis]))[len(idx) // 2:]]] = True
+            cut = upper[ei] != upper[ej]
+            for upper_side in (False, True):
+                sep = np.unique(np.where(upper[ei[cut]] == upper_side, ei[cut], ej[cut]))
+                if best is None or len(sep) < len(best[1]):
+                    best = upper, sep
+        upper, sep = best
+        blocks = []
+        for side in (False, True):
+            keep = upper == side
+            keep[sep] = False
+            inside = keep[ei] & keep[ej]
+            blocks += dissect(idx[keep[idx]], ei[inside], ej[inside])
+        return blocks + [sep]
+
+    return np.concatenate([block for r in ranges for block in dissect(
+        r, *(e[(ei >= r[0]) & (ei <= r[-1])] for e in (ei, ej)))])
+
+
+def _relabelled(mesh, seed):
+    label = np.random.default_rng(seed).permutation(mesh.node_count)
+    return Mesh2D(nodes=mesh.nodes[np.argsort(label)], triangles=label[mesh.triangles],
+                  boundary_edges=label[mesh.boundary_edges])
+
+
+@pytest.mark.parametrize("mesh", [
+    lambda: generate_disk_mesh(20, 1.0),
+    lambda: generate_disk_mesh(320, 1.0),
+    lambda: generate_disk_mesh(2560, 1.0),
+    lambda: disjoint_union([generate_disk_mesh(n, r) for n, r in
+                            ((160, 1.0), (5, 1.0), (40, 10.0), (320, 2.0))]),
+    *(lambda seed=seed: _relabelled(generate_disk_mesh(320, 1.0), seed) for seed in range(3)),
+], ids=["disk20", "disk320", "disk2560", "union", "relabelled0", "relabelled1", "relabelled2"])
+def test_the_level_synchronous_dissection_equals_the_recursive_rule(mesh):
+    # every part of a level splits at once; the rule, its tie-breaks and
+    # the numbering must be those of the one-part-at-a-time recursion
+    mesh = mesh()
+    M = assemble_mass(mesh)
+    np.testing.assert_array_equal(nested_dissection_order(mesh.nodes, M),
+                                  _reference_order(mesh.nodes, M))
+
+
+def test_nested_dissection_fill_bound():
+    # L+U complex entries of the default evolve step on 2560 nodes: 136 074
+    # with 32-node leaves and one lower-side separator along the longer axis
+    K = _disk_step_matrix(generate_disk_mesh(2560, 10.0), 800.0)
+    assert K._lu.L.nnz + K._lu.U.nnz <= 125_000
 
 
 @pytest.mark.parametrize("delta0_over_tau", [800.0, 7e4, 1e7])
