@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence",
         help="manufactured-solution refinement sweep, emits a CSV error table",
     )
-    conv.add_argument("--problem", required=True, choices=["linear", "nonlinear"])
+    conv.add_argument("--problem", required=True, choices=problems.MANUFACTURED)
     conv.add_argument("--k", type=int, default=3, choices=[1, 2, 3],
                       help="BDF order (default 3)")
     conv.add_argument("--refinements", type=_list_of(int, "integers"),
@@ -180,7 +180,7 @@ def cmd_convergence(args, parser) -> int:
     for tau in taus:
         _on_grid(parser, "convergence", integrator.step_count, tau, args.T, args.k)
     _check_out_file(args.out)
-    problem = problems.problem_by_name(args.problem)
+    problem = problems.MANUFACTURED[args.problem]()
     scheme = integrator.bdf_scheme(args.k)
     # the manufactured forcings are derived on the unit disk
     meshes = [(i, meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, 1.0))

@@ -23,7 +23,7 @@ from .mesh import Mesh2D
 from .problems import ProblemSpec, zero_field
 from .saddle import StepMatrix, build_step_matrix, nested_dissection_order
 
-MAX_ORDER = 6
+MAX_ORDER = 5
 BOOTSTRAP_SUBSTEP_CAP = 1000
 # Forcing values per load block: a block spans LOAD_BLOCK_VALUES // N steps
 # (at least one), so each (N, S) block array holds 32 KiB.
@@ -208,7 +208,7 @@ class Stepper:
         """Yield (n, t, u, w) for each step n in `steps`, taken at t = t0 + n dt.
 
         `recent` holds the scheme's k newest u, newest first; an abort names
-        step `label`, or n. The loads come a block of
+        step n, or step `label` and its substep n. The loads come a block of
         max(1, LOAD_BLOCK_VALUES // N) steps at a time, at the same doubles.
         """
         block = max(1, LOAD_BLOCK_VALUES // self.mesh.node_count)
@@ -221,8 +221,9 @@ class Stepper:
                     u, w = bdf_step(self.problem, scheme, K, self.M, recent,
                                     b1[:, col], b2[:, col])
                 except ValueError as exc:
-                    raise RuntimeError(f"aborted at step {n if label is None else label} "
-                                       f"(t = {t}): {exc}") from exc
+                    where = (n if label is None else
+                             f"{label}, BDF{scheme.k} substep {n} of {len(steps)}")
+                    raise RuntimeError(f"aborted at step {where} (t = {t}): {exc}") from exc
                 recent = [u] + recent[:-1]
                 yield n, t, u, w
 

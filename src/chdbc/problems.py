@@ -100,6 +100,14 @@ def manufactured_nonlinear() -> ProblemSpec:
     )
 
 
+# The manufactured problems `convergence --problem` offers, by name. An entry
+# looks its factory up when called, so a rebound one (benchmarks/tracing.py) runs.
+MANUFACTURED = {
+    "linear": lambda: manufactured_linear(),
+    "nonlinear": lambda: manufactured_nonlinear(),
+}
+
+
 def _mix64(z):
     """The splitmix64 finalizer, on Python ints or uint64 arrays."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
@@ -204,16 +212,3 @@ def verify_manufactured(spec: ProblemSpec, sample_points: Sequence,
     r2 = (w(x, y, t) + laplacian(u)
           - forcing(spec.f2_bulk, spec.f2_surf) - F(u(x, y, t)))
     return float(np.abs(np.broadcast_arrays(r1, r2)).max(initial=0.0))
-
-
-def problem_by_name(name: str) -> ProblemSpec:
-    """The manufactured problem `convergence` runs: 'linear' or 'nonlinear'."""
-    factories = {
-        "linear": manufactured_linear,
-        "nonlinear": manufactured_nonlinear,
-    }
-    if name not in factories:
-        raise ValueError(
-            f"unknown problem {name!r}; pick one of {sorted(factories)}"
-        )
-    return factories[name]()

@@ -77,23 +77,34 @@ def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
     ranges = np.r_[0, np.cumsum(spans[:-1] == 0)]
     del spans
     key = np.zeros(n, dtype=np.int64)
-    # the parts still to split are numbered from 0, and part[v] is -1 once
-    # node v is numbered; by_axis lists the nodes of the parts part by part,
-    # each part sorted by (coordinate, index); ei-ej are the edges inside them
-    sizes = np.bincount(ranges)
-    big = sizes > LEAF_SIZE
-    part = np.where(big, np.cumsum(big) - 1, -1)[ranges]
-    sizes = sizes[big]
-    by_axis = [order[part[order] >= 0] for order in
-               (np.lexsort((nodes[:, a], ranges)) for a in (0, 1))]
-    inside = part[ei] >= 0
-    ei, ej = ei[inside], ej[inside]
-    while sizes.size:
-        # bit a of upper[v]: v lies in its part's upper half along axis a
-        firsts = np.cumsum(sizes) - sizes + sizes // 2
+    # by_axis lists the nodes part by part, each part sorted by (coordinate,
+    # index); p[i] is the part of node idx[i] = by_axis[0][i], -1 in a separator
+    by_axis = [np.lexsort((nodes[:, a], ranges)) for a in (0, 1)]
+    idx, part = by_axis[0], np.empty(n, dtype=np.int64)
+    p = ranges[idx]
+    while True:
+        # the parts larger than LEAF_SIZE split now, numbered from 0 in part[v];
+        # the other nodes are numbered and get -1 (a p of -1 picks the last -1)
+        sizes = np.bincount(p[p >= 0])
+        big = sizes > LEAF_SIZE
+        part[idx] = np.r_[np.where(big, np.cumsum(big) - 1, -1), -1][p]
+        sizes = sizes[big]
+        if not sizes.size:
+            break
+        # stable: each part keeps its (coordinate, index) order
+        by_axis = [listed[np.argsort(part[listed], kind="stable")]
+                   for listed in (listed[part[listed] >= 0] for listed in by_axis)]
+        # ei-ej are the edges inside the parts
+        pi = part[ei]
+        inside = (pi >= 0) & (pi == part[ej])
+        ei, ej = ei[inside], ej[inside]
+        # bit a of upper[v]: v lies in its part's upper half along axis a.
+        # Both lists hold part 0's nodes, then part 1's, ...
+        p = np.repeat(np.arange(len(sizes)), sizes)
+        in_upper = np.arange(len(p)) >= (np.cumsum(sizes) - sizes + sizes // 2)[p]
         upper = np.zeros(n, dtype=np.uint8)
         for a, listed in enumerate(by_axis):
-            upper[listed] += (np.arange(len(listed)) >= firsts[part[listed]]) * np.uint8(1 << a)
+            upper[listed] += in_upper * np.uint8(1 << a)
         # bit 2a (2a + 1) of ends[v]: v is the lower (upper) end of an edge
         # whose ends lie in different halves along axis a
         ends = np.zeros(n, dtype=np.uint8)
@@ -105,25 +116,15 @@ def nested_dissection_order(nodes: np.ndarray, M: sp.spmatrix) -> np.ndarray:
             ends[np.where(i_up, ej[c], ei[c])] |= np.uint8(1 << 2 * a)
             ends[np.where(i_up, ei[c], ej[c])] |= np.uint8(2 << 2 * a)
         idx = by_axis[0]
-        p, e = part[idx], ends[idx]
+        e = ends[idx]
         # the first of the smallest: x before y, then lower side before upper
         choice = np.argmin([np.bincount(p[(e >> c) & 1 == 1], minlength=len(sizes))
                             for c in range(4)], axis=0)[p]
         side, sep = (upper[idx] >> (choice >> 1)) & 1, (e >> choice) & 1 == 1
         key *= 3
         key[idx] += np.where(sep, 2, side)
-        # the halves less the separator are the next level's parts, if large
-        child = 2 * p + side
-        sizes = np.bincount(child[~sep], minlength=2 * len(sizes))
-        big = sizes > LEAF_SIZE
-        part[idx] = np.where(sep, -1, np.where(big, np.cumsum(big) - 1, -1)[child])
-        sizes = sizes[big]
-        # stable: each new part keeps its (coordinate, index) order
-        by_axis = [listed[np.argsort(part[listed], kind="stable")]
-                   for listed in (listed[part[listed] >= 0] for listed in by_axis)]
-        pi = part[ei]
-        inside = (pi >= 0) & (pi == part[ej])
-        ei, ej = ei[inside], ej[inside]
+        # the halves less the separator are the next level's parts
+        p = np.where(sep, -1, 2 * p + side)
     return np.lexsort((key, ranges))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -130,6 +131,22 @@ def test_final_error_zero_for_interpolated_exact_solution():
                       u_final=uh[-1], w_final=wh[-1], snapshots=[],
                       M=assembly.assemble_mass(mesh),
                       A=assembly.assemble_stiffness(mesh))
+    report = final_error(traj, problem, mesh)
+    assert report.err_L2 == 0.0 and report.err_H1 == 0.0
+    assert report.err_w_L2 == 0.0 and report.err_w_H1 == 0.0
+
+
+def test_final_error_measures_u_against_exact_u_and_w_against_exact_w():
+    # both manufactured problems have exact_u is exact_w; this one does not
+    problem = dataclasses.replace(manufactured_linear(),
+                                  exact_w=lambda x, y, t: 2 * np.exp(-t) * x * y)
+    mesh, T = generate_disk_mesh(40, 1.0), 0.5
+    traj = Trajectory(times=np.array([0.0, T]), mass=np.zeros(2), energy=None,
+                      u_final=assembly.nodal_interpolate(problem.exact_u, mesh, T),
+                      w_final=assembly.nodal_interpolate(problem.exact_w, mesh, T),
+                      snapshots=[], M=assembly.assemble_mass(mesh),
+                      A=assembly.assemble_stiffness(mesh))
+    assert not np.array_equal(traj.u_final, traj.w_final)
     report = final_error(traj, problem, mesh)
     assert report.err_L2 == 0.0 and report.err_H1 == 0.0
     assert report.err_w_L2 == 0.0 and report.err_w_H1 == 0.0

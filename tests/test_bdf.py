@@ -25,14 +25,14 @@ def oracle_gamma(k):
     return numerator[1:]
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 6))
 def test_delta_matches_expansion_oracle_exactly(k):
     got = bdf_scheme(k).delta
     expected = [float(c) for c in oracle_delta(k)]
     assert list(got) == expected
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 6))
 def test_gamma_matches_expansion_oracle_exactly(k):
     got = bdf_scheme(k).gamma
     expected = [float(c) for c in oracle_gamma(k)]
@@ -48,7 +48,7 @@ def test_known_small_orders():
     np.testing.assert_array_equal(bdf_scheme(3).gamma, [3.0, -3.0, 1.0])
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 6))
 def test_consistency_identities(k):
     delta = [Fraction(f).limit_denominator(10 ** 9)
              for f in bdf_scheme(k).delta]
@@ -59,7 +59,7 @@ def test_consistency_identities(k):
     assert sum(gamma) == 1                       # reproduces constants
 
 
-@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("k", range(1, 6))
 def test_extrapolation_reproduces_low_degree_polynomials(k):
     # gamma-weighted history values at t_{n-1-j} must reproduce p(t_n)
     gamma = bdf_scheme(k).gamma
@@ -73,7 +73,7 @@ def test_extrapolation_reproduces_low_degree_polynomials(k):
 
 
 def test_order_out_of_range():
-    for bad in (0, 7, -1, 9):
+    for bad in (0, 6, 7, -1, 9):
         with pytest.raises(ValueError):
             bdf_scheme(bad)
 

@@ -9,7 +9,7 @@ from chdbc import analysis, cli, mesh as meshmod
 from chdbc.cli import _csv, main
 from chdbc.integrator import bdf_scheme, run
 from chdbc.mesh import generate_disk_mesh, import_mesh, validate_mesh
-from chdbc.problems import evolution_problem, problem_by_name
+from chdbc.problems import MANUFACTURED, evolution_problem
 
 
 def read(path):
@@ -135,7 +135,7 @@ def test_convergence_steps_all_refinements_as_one_run_bitwise(
     assert rc == 0
     assert [a[2] for a in runs] == list(taus)  # one run per tau
     assert len(errors) == 3 * len(taus)
-    spec = problem_by_name(problem)
+    spec = MANUFACTURED[problem]()
     for n, (traj, m, report) in enumerate(errors):
         assert m.node_count == 2 ** (n % 3 + 1) * 10
         alone = run(spec, m, taus[n // 3], 0.1, bdf_scheme(k), start_mode=start_mode)

@@ -140,6 +140,19 @@ def test_exact_starting_values_sample_the_solution():
         np.testing.assert_array_equal(u, w)
 
 
+def test_exact_starts_pair_exact_u_with_u_and_exact_w_with_w_bitwise():
+    # both manufactured problems have exact_u is exact_w; this one does not
+    problem = dataclasses.replace(manufactured_linear(),
+                                  exact_w=lambda x, y, t: 2 * np.exp(-t) * x * y)
+    mesh, tau, k = generate_disk_mesh(40, 1.0), 0.01, 3
+    starts = list(Stepper(problem, mesh, tau, bdf_scheme(k)).starts("exact"))
+    assert len(starts) == k
+    for j, (u, w) in enumerate(starts):
+        assert u.tobytes() == assembly.nodal_interpolate(problem.exact_u, mesh, j * tau).tobytes()
+        assert w.tobytes() == assembly.nodal_interpolate(problem.exact_w, mesh, j * tau).tobytes()
+        assert not np.array_equal(u, w)
+
+
 def test_exact_mode_requires_exact_solution():
     mesh = generate_disk_mesh(20, 1.0)
     with pytest.raises(ValueError, match="exact"):
@@ -339,6 +352,16 @@ def test_run_aborts_with_step_index_on_blowup():
     mesh = generate_disk_mesh(160, 1.0)
     with pytest.raises(RuntimeError, match="step"):
         run(problem, mesh, 0.01, 1.0, bdf_scheme(3), start_mode="bootstrap")
+
+
+def test_bootstrap_abort_names_the_start_and_its_substep():
+    # k=3, tau=0.1: m=5 BDF1 substeps of 0.02 toward each start; the one
+    # toward step 2 (t = 0.2) diverges at its second substep, t = 0.14
+    problem = evolution_problem(strength=1000.0)
+    mesh = generate_disk_mesh(40, 10.0)
+    with pytest.raises(RuntimeError,
+                       match=r"^aborted at step 2, BDF1 substep 2 of 5 \(t = 0\.14\): "):
+        run(problem, mesh, 0.1, 1.0, bdf_scheme(3), start_mode="bootstrap")
 
 
 def test_trajectory_diagnostics_shapes():

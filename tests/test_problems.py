@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from chdbc.mesh import generate_disk_mesh
 from chdbc.problems import (
+    MANUFACTURED,
     ProblemSpec,
     evolution_problem,
     manufactured_linear,
     manufactured_nonlinear,
-    problem_by_name,
     verify_manufactured,
     zero_map,
 )
@@ -192,12 +192,11 @@ def test_initial_field_depends_only_on_the_point(disk_2560, seed, order, data):
 
 
 def test_problem_by_name():
-    assert problem_by_name("linear").kind == "linear"
-    assert problem_by_name("nonlinear").kind == "nonlinear"
+    assert MANUFACTURED["linear"]().kind == "linear"
+    assert MANUFACTURED["nonlinear"]().kind == "nonlinear"
     # evolve builds its problem from --strength and --seed, not by name
     for name in ("evolution", "stokes"):
-        with pytest.raises(ValueError, match="unknown problem"):
-            problem_by_name(name)
+        assert name not in MANUFACTURED
 
 
 def test_kind_follows_the_nonlinearity():

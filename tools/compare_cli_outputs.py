@@ -57,6 +57,8 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("evolve-strength-inf", ["evolve", "--strength", "inf", "--out", "out"]),
     ("convergence-tau-not-dividing",
      ["convergence", "--problem", "linear", "--tau", "0.3"]),
+    # argparse's usage line and invalid-choice message list the problem names
+    ("convergence-unknown-problem", ["convergence", "--problem", "stokes"]),
     ("evolve-k3-diverges",
      ["evolve", "--nodes", "160", "--radius", "1", "--k", "3", "--tau", "0.01",
       "--T", "1", "--snapshots", "0", "--out", "out"]),
