@@ -9,14 +9,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import assembly
-from .integrator import Trajectory
 from .mesh import Mesh2D
 from .problems import ProblemSpec
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Final-time errors of one run in the combined bulk+surface norms."""
+    """Errors of one state in the combined bulk+surface norms."""
 
     err_L2: float
     err_H1: float
@@ -46,20 +45,24 @@ def h1_norm(M, A, e: np.ndarray) -> float:
     return _norm(e, A, M)
 
 
-def final_error(trajectory: Trajectory, problem: ProblemSpec,
-                mesh: Mesh2D) -> ErrorReport:
-    """Errors at the final time against the interpolated exact solution.
+def final_error(problem: ProblemSpec, mesh: Mesh2D, t: float, u: np.ndarray,
+                w: np.ndarray) -> ErrorReport:
+    """Errors of the state (u, w) at time t against the interpolated exact solution.
 
     The comparison target is the nodal interpolant, whose own L2 error is
     O(h^2) and therefore does not pollute the measured second order. The
-    norms use the trajectory's own M and A.
+    norms use the M and A of `mesh`, and u and w must have shape (N,).
     """
     if not problem.has_exact_solution:
         raise ValueError("final_error needs a problem with exact solutions")
-    M, A = trajectory.M, trajectory.A
-    T = float(trajectory.times[-1])
-    eu = trajectory.u_final - assembly.nodal_interpolate(problem.exact_u, mesh, T)
-    ew = trajectory.w_final - assembly.nodal_interpolate(problem.exact_w, mesh, T)
+    # checked before the subtraction, which would broadcast an (N, 1) to N x N
+    if not np.shape(u) == np.shape(w) == (mesh.node_count,):
+        raise ValueError(f"u and w have shapes {np.shape(u)} and {np.shape(w)}, "
+                         f"but the mesh has N = {mesh.node_count} nodes")
+    M, A = assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh)
+    t = float(t)
+    eu = u - assembly.nodal_interpolate(problem.exact_u, mesh, t)
+    ew = w - assembly.nodal_interpolate(problem.exact_w, mesh, t)
     return ErrorReport(
         err_L2=l2_norm(M, eu),
         err_H1=h1_norm(M, A, eu),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -197,11 +196,9 @@ def cmd_convergence(args, parser) -> int:
     for tau in taus:
         traj = integrator.run(problem, union, tau, args.T, scheme,
                               start_mode=args.start_mode)
-        # final_error reads the final time, the final state and M and A
-        reports = [analysis.final_error(
-            replace(traj, u_final=traj.u_final[p], w_final=traj.w_final[p],
-                    M=traj.M[p, p], A=traj.A[p, p]), problem, m)
-            for p, (_, m) in zip(parts, meshes)]
+        reports = [analysis.final_error(problem, m, traj.times[-1],
+                                        traj.u_final[p], traj.w_final[p])
+                   for p, (_, m) in zip(parts, meshes)]
         if len(reports) >= 2:
             orders_l2 = [None] + analysis.eoc([r.err_L2 for r in reports], hs)
             orders_h1 = [None] + analysis.eoc([r.err_H1 for r in reports], hs)

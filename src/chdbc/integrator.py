@@ -16,7 +16,6 @@ from math import ceil, comb, inf, isfinite
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import assembly
 from .mesh import Mesh2D
@@ -69,8 +68,7 @@ class Trajectory:
     times, mass and energy (None when the problem has no potential) hold one
     entry per time level; u_final and w_final are the last level, and
     snapshots holds u at each step the caller asked `run` to keep, in step
-    order. M and A are the run's mass (bulk plus surface) and stiffness
-    matrices, which the error norms reuse.
+    order.
     """
 
     times: np.ndarray
@@ -79,8 +77,6 @@ class Trajectory:
     u_final: np.ndarray
     w_final: np.ndarray
     snapshots: List[np.ndarray]
-    M: sp.spmatrix
-    A: sp.spmatrix
 
 
 def step_index(t: float, tau: float) -> int:
@@ -321,4 +317,4 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
         if n in keep:
             snapshots.append(u)
     return Trajectory(times=times, mass=mass, energy=energy, u_final=u,
-                      w_final=w, snapshots=snapshots, M=stepper.M, A=stepper.A)
+                      w_final=w, snapshots=snapshots)

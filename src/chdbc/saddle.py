@@ -186,8 +186,7 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
         sp.csr_matrix(M - 1j * delta0_over_tau ** -0.5 * A)[order][:, order])
     try:
         lu = spla.splu(permuted, permc_spec="NATURAL",
-                       diag_pivot_thresh=PIVOT_THRESHOLD, panel_size=PANEL_SIZE,
-                       options={"SymmetricMode": True})
+                       diag_pivot_thresh=PIVOT_THRESHOLD, panel_size=PANEL_SIZE)
     except RuntimeError as exc:
         raise RuntimeError(
             f"step matrix factorization failed ({exc}); the mass or "

@@ -40,7 +40,8 @@ def _sweep(problem):
         mesh = generate_disk_mesh(2 ** i * 10, 1.0)
         traj = run(problem, mesh, SWEEP_TAU, 1.0, bdf_scheme(3),
                    start_mode="exact")
-        reports.append((mesh_size(mesh), analysis.final_error(traj, problem, mesh)))
+        reports.append((mesh_size(mesh), analysis.final_error(
+            problem, mesh, traj.times[-1], traj.u_final, traj.w_final)))
     return reports
 
 

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chdbc import analysis, assembly
 from chdbc.analysis import eoc, final_error, h1_norm, l2_norm
-from chdbc.integrator import Stepper, Trajectory, bdf_scheme, run
+from chdbc.integrator import Stepper, bdf_scheme, run
 from chdbc.mesh import (generate_disk_mesh, import_mesh, mesh_size, segment_lengths,
                         signed_areas)
 from chdbc.problems import evolution_problem, manufactured_linear
@@ -127,11 +128,7 @@ def test_final_error_zero_for_interpolated_exact_solution():
     times = np.array([0.0, 0.5, 1.0])
     uh = [assembly.nodal_interpolate(problem.exact_u, mesh, t) for t in times]
     wh = [assembly.nodal_interpolate(problem.exact_w, mesh, t) for t in times]
-    traj = Trajectory(times=times, mass=np.zeros(3), energy=None,
-                      u_final=uh[-1], w_final=wh[-1], snapshots=[],
-                      M=assembly.assemble_mass(mesh),
-                      A=assembly.assemble_stiffness(mesh))
-    report = final_error(traj, problem, mesh)
+    report = final_error(problem, mesh, times[-1], uh[-1], wh[-1])
     assert report.err_L2 == 0.0 and report.err_H1 == 0.0
     assert report.err_w_L2 == 0.0 and report.err_w_H1 == 0.0
 
@@ -141,33 +138,59 @@ def test_final_error_measures_u_against_exact_u_and_w_against_exact_w():
     problem = dataclasses.replace(manufactured_linear(),
                                   exact_w=lambda x, y, t: 2 * np.exp(-t) * x * y)
     mesh, T = generate_disk_mesh(40, 1.0), 0.5
-    traj = Trajectory(times=np.array([0.0, T]), mass=np.zeros(2), energy=None,
-                      u_final=assembly.nodal_interpolate(problem.exact_u, mesh, T),
-                      w_final=assembly.nodal_interpolate(problem.exact_w, mesh, T),
-                      snapshots=[], M=assembly.assemble_mass(mesh),
-                      A=assembly.assemble_stiffness(mesh))
-    assert not np.array_equal(traj.u_final, traj.w_final)
-    report = final_error(traj, problem, mesh)
+    u = assembly.nodal_interpolate(problem.exact_u, mesh, T)
+    w = assembly.nodal_interpolate(problem.exact_w, mesh, T)
+    assert not np.array_equal(u, w)
+    report = final_error(problem, mesh, T, u, w)
     assert report.err_L2 == 0.0 and report.err_H1 == 0.0
     assert report.err_w_L2 == 0.0 and report.err_w_H1 == 0.0
 
 
 def test_final_error_requires_exact_solution():
     mesh = generate_disk_mesh(20, 1.0)
-    traj = Trajectory(times=np.array([0.0]), mass=np.zeros(1), energy=None,
-                      u_final=np.zeros(mesh.node_count),
-                      w_final=np.zeros(mesh.node_count), snapshots=[],
-                      M=assembly.assemble_mass(mesh),
-                      A=assembly.assemble_stiffness(mesh))
+    zero = np.zeros(mesh.node_count)
     with pytest.raises(ValueError, match="exact"):
-        final_error(traj, evolution_problem(), mesh)
+        final_error(evolution_problem(), mesh, 0.0, zero, zero)
+
+
+def test_final_error_measures_at_the_given_time():
+    # the state is the exact interpolant at t = 0.37, not at a final time
+    problem = manufactured_linear()
+    mesh = generate_disk_mesh(40, 1.0)
+    u, w = (assembly.nodal_interpolate(f, mesh, 0.37)
+            for f in (problem.exact_u, problem.exact_w))
+    report = final_error(problem, mesh, 0.37, u, w)
+    assert report.err_L2 == 0.0 and report.err_H1 == 0.0
+    assert report.err_w_L2 == 0.0 and report.err_w_H1 == 0.0
+    later = final_error(problem, mesh, 0.5, u, w)
+    assert min(later.err_L2, later.err_H1, later.err_w_L2, later.err_w_H1) > 0.0
+
+
+@pytest.mark.parametrize("u_shape, w_shape", [((640, 1), (640,)), ((641,), (640,)),
+                                              ((640,), (640, 1)), ((640,), (639,))])
+def test_final_error_rejects_a_state_of_the_wrong_shape(u_shape, w_shape):
+    # the check comes before u - interpolant, which would broadcast an
+    # (N, 1) state to an N x N temporary (3.3 MB at N = 640)
+    problem = manufactured_linear()
+    mesh = generate_disk_mesh(640, 1.0)
+    assert mesh.node_count == 640
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            final_error(problem, mesh, 0.5, np.zeros(u_shape), np.zeros(w_shape))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bad = u_shape if u_shape != (640,) else w_shape
+    assert str(bad) in str(info.value) and "N = 640" in str(info.value)
+    assert peak < 640 * 640 * 8 // 4
 
 
 def test_final_error_sane_for_real_run():
     problem = manufactured_linear()
     mesh = generate_disk_mesh(40, 1.0)
     traj = run(problem, mesh, 0.005, 1.0, bdf_scheme(3))
-    report = final_error(traj, problem, mesh)
+    report = final_error(problem, mesh, traj.times[-1], traj.u_final, traj.w_final)
     for value in (report.err_L2, report.err_H1, report.err_w_L2, report.err_w_H1):
         assert math.isfinite(value)
         assert 0.0 < value < 1.0
@@ -183,7 +206,7 @@ def test_l2_eoc_over_refinements_2_to_5(factory):
     for i in (2, 3, 4, 5):
         mesh = generate_disk_mesh(2 ** i * 10, 1.0)
         traj = run(problem, mesh, 0.0025, 1.0, bdf_scheme(3))
-        report = final_error(traj, problem, mesh)
+        report = final_error(problem, mesh, traj.times[-1], traj.u_final, traj.w_final)
         errs.append(report.err_L2)
         hs.append(mesh_size(mesh))
     # aggregate order across the whole refinement range

@@ -14,6 +14,7 @@ from chdbc.assembly import (
 )
 from chdbc.mesh import (
     Mesh2D,
+    disjoint_union,
     generate_disk_mesh,
     import_mesh,
     segment_lengths,
@@ -280,6 +281,23 @@ def test_assembly_is_reproducible():
     b = assemble_mass(mesh)
     assert (a != b).nnz == 0
     assert np.array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("refinements", [(1, 2, 3, 4, 5), (1, 3, 6)])
+@pytest.mark.parametrize("assemble", [assemble_mass, assemble_stiffness])
+def test_a_part_of_a_disjoint_union_assembles_the_unions_diagonal_block(
+        refinements, assemble):
+    # `convergence` measures each part's error with the part's own M and A,
+    # so its table matches a run on the part alone only while these agree
+    meshes = [generate_disk_mesh(2 ** i * 10, 1.0) for i in refinements]
+    whole = assemble(disjoint_union(meshes))
+    first = 0
+    for m in meshes:
+        part = slice(first, first + m.node_count)
+        block, alone = whole[part, part], assemble(m)
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(block, field), getattr(alone, field))
+        first += m.node_count
 
 
 def test_nodal_interpolate_examples(tri):

@@ -125,8 +125,8 @@ def test_convergence_steps_all_refinements_as_one_run_bitwise(
     monkeypatch.setattr(cli.integrator, "run",
                         lambda *a, **kw: runs.append(a) or run(*a, **kw))
     final_error = analysis.final_error
-    monkeypatch.setattr(cli.analysis, "final_error", lambda traj, spec, m: errors.append(
-        (traj, m, final_error(traj, spec, m))) or errors[-1][2])
+    monkeypatch.setattr(cli.analysis, "final_error", lambda spec, m, t, u, w: errors.append(
+        (t, u, w, m, final_error(spec, m, t, u, w))) or errors[-1][4])
     taus = (0.05, 0.025)
     rc = main(["convergence", "--problem", problem, "--k", str(k),
                "--refinements", "1,2,3", "--tau", "0.05", "--tau", "0.025",
@@ -136,12 +136,13 @@ def test_convergence_steps_all_refinements_as_one_run_bitwise(
     assert [a[2] for a in runs] == list(taus)  # one run per tau
     assert len(errors) == 3 * len(taus)
     spec = MANUFACTURED[problem]()
-    for n, (traj, m, report) in enumerate(errors):
+    for n, (t, u, w, m, report) in enumerate(errors):
         assert m.node_count == 2 ** (n % 3 + 1) * 10
         alone = run(spec, m, taus[n // 3], 0.1, bdf_scheme(k), start_mode=start_mode)
-        assert np.array_equal(traj.u_final, alone.u_final)
-        assert np.array_equal(traj.w_final, alone.w_final)
-        assert report == final_error(alone, spec, m)
+        assert np.array_equal(u, alone.u_final)
+        assert np.array_equal(w, alone.w_final)
+        assert report == final_error(spec, m, alone.times[-1], alone.u_final,
+                                     alone.w_final)
 
 
 def test_mesh_large_target_is_fast(tmp_path):

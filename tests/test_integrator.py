@@ -180,12 +180,12 @@ def test_bootstrap_start_error_stays_close_to_exact_start():
     problem = manufactured_linear()
     mesh = generate_disk_mesh(40, 1.0)
     scheme = bdf_scheme(3)
-    e_exact = analysis.final_error(
-        run(problem, mesh, 0.0025, 1.0, scheme, start_mode="exact"),
-        problem, mesh).err_L2
-    e_boot = analysis.final_error(
-        run(problem, mesh, 0.0025, 1.0, scheme, start_mode="bootstrap"),
-        problem, mesh).err_L2
+    exact = run(problem, mesh, 0.0025, 1.0, scheme, start_mode="exact")
+    boot = run(problem, mesh, 0.0025, 1.0, scheme, start_mode="bootstrap")
+    e_exact = analysis.final_error(problem, mesh, exact.times[-1], exact.u_final,
+                                   exact.w_final).err_L2
+    e_boot = analysis.final_error(problem, mesh, boot.times[-1], boot.u_final,
+                                  boot.w_final).err_L2
     assert e_boot <= 10.0 * e_exact
 
 
@@ -209,7 +209,8 @@ def test_refinement_monotonicity_at_final_time():
     for i in (2, 3):
         mesh = generate_disk_mesh(2 ** i * 10, 1.0)
         traj = run(problem, mesh, 0.0025, 1.0, scheme)
-        errs[i] = analysis.final_error(traj, problem, mesh).err_L2
+        errs[i] = analysis.final_error(problem, mesh, traj.times[-1], traj.u_final,
+                                       traj.w_final).err_L2
     assert errs[3] < errs[2]
 
 

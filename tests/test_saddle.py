@@ -296,6 +296,30 @@ def test_nested_dissection_fills_less_than_the_default_ordering(delta0_over_tau)
             <= 0.8 * (default.L.nnz + default.U.nnz))
 
 
+@pytest.mark.parametrize("delta0_over_tau", [1e-3, 800.0, 1e8])
+@pytest.mark.parametrize("refinements", [None, (1, 2, 3, 4, 5)])
+def test_the_natural_ordering_implies_superlus_symmetric_mode(refinements,
+                                                              delta0_over_tau):
+    # build_step_matrix leaves SymmetricMode to splu, which turns it on for
+    # permc_spec="NATURAL". Turned off, it changes perm_c and the factor on
+    # the 640-node evolve mesh, so a SciPy that stops implying it fails here.
+    mesh = (generate_disk_mesh(640, 10.0) if refinements is None else
+            disjoint_union([generate_disk_mesh(2 ** i * 10, 1.0) for i in refinements]))
+    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
+    order = nested_dissection_order(mesh.nodes, M)
+    lu = build_step_matrix(M, A, delta0_over_tau, order)._lu
+    permuted = sp.csc_matrix(
+        sp.csr_matrix(M - 1j * delta0_over_tau ** -0.5 * A)[order][:, order])
+    spelled = spla.splu(permuted, permc_spec="NATURAL",
+                        diag_pivot_thresh=saddle.PIVOT_THRESHOLD,
+                        panel_size=PANEL_SIZE, options={"SymmetricMode": True})
+    for ours, theirs in ((lu.L, spelled.L), (lu.U, spelled.U)):
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ours, field), getattr(theirs, field))
+    assert np.array_equal(lu.perm_r, spelled.perm_r)
+    assert np.array_equal(lu.perm_c, spelled.perm_c)
+
+
 @pytest.mark.parametrize("delta0_over_tau", [1e-3, 0.1, 10.0, 800.0, 1e7])
 def test_ordered_solve_residual_over_step_scales(delta0_over_tau):
     mesh = generate_disk_mesh(2560, 1.0)

@@ -44,6 +44,10 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
       "--tau", "0.01", "--tau", "0.02", "--T", "0.2"]),
     ("convergence-linear-one-mesh",
      ["convergence", "--problem", "linear", "--refinements", "4", "--T", "0.1"]),
+    # parts of 640 to 2560 nodes, the largest any command measures errors on
+    ("convergence-nonlinear-fine",
+     ["convergence", "--problem", "nonlinear", "--refinements", "6,7,8",
+      "--tau", "0.0125", "--T", "0.05"]),
     # at T = 0.05 the tau = 0.025 run is two steps, all starting values of
     # BDF3, so no main step matrix is factorized
     ("convergence-nonlinear-starts-only",
