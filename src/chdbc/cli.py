@@ -234,7 +234,9 @@ def _vtk_snapshot(m: meshmod.Mesh2D, u: np.ndarray, title: str) -> str:
 
 
 def _snapshot_csv(m: meshmod.Mesh2D, u: np.ndarray) -> str:
-    return _csv([["x", "y", "u"], *np.column_stack([m.nodes, u]).tolist()])
+    # the rows of `_csv` in one formatting pass: %r of a float is its str
+    return "x,y,u\n" + ("%r,%r,%r\n" * m.node_count) % tuple(
+        np.column_stack([m.nodes, u]).ravel().tolist())
 
 
 def cmd_evolve(args, parser) -> int:

@@ -56,6 +56,10 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("evolve-k2-small-tau",
      ["evolve", "--nodes", "160", "--radius", "1", "--k", "2", "--tau", "1e-5",
       "--T", "1e-3", "--snapshots", "0,0.001", "--out", "out"]),
+    # the dissection and the snapshot renderer at size
+    ("evolve-10k-two-snapshots",
+     ["evolve", "--nodes", "10240", "--T", "0.0125", "--snapshots", "0,0.0125",
+      "--out", "out"]),
     ("mesh-41k", ["mesh", "--nodes", "40960", "--radius", "10", "--validate"]),
     # error paths: their messages and exit codes are outputs too
     ("evolve-strength-inf", ["evolve", "--strength", "inf", "--out", "out"]),
