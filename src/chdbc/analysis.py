@@ -1,4 +1,4 @@
-"""Discrete norms, convergence orders, and physical diagnostics."""
+"""Discrete norms, a state's errors (`final_error`) and convergence orders (`eoc`)."""
 
 from __future__ import annotations
 

@@ -27,9 +27,9 @@ DEFAULT_SNAPSHOT_TIMES = (0.0, 0.5, 1.0, 2.0, 3.0)
 EOC_SENTINEL = "NA"
 
 
-def _csv(rows: List[List]) -> str:
-    # rows hold Python scalars; str of a float is its shortest round-trip repr
-    return "\n".join(",".join(map(str, row)) for row in rows) + "\n"
+def _csv(header: str, *columns: np.ndarray) -> str:
+    # the header line, then row i holds entry i of every column
+    return header + "\n" + meshmod.render_rows(np.column_stack(columns), ",")
 
 
 def _write_files(files: Iterable[Tuple[str, Callable[[], str]]]) -> None:
@@ -210,33 +210,22 @@ def cmd_convergence(args, parser) -> int:
                 EOC_SENTINEL if o2 is None else o2,
                 EOC_SENTINEL if o1 is None else o1,
             ])
-    _emit(args.out, _csv(rows))
+    # as objects, the ints, floats and NA keep their own types
+    _emit(args.out, meshmod.render_rows(np.array(rows, dtype=object), ","))
     return 0
 
 
 def _vtk_snapshot(m: meshmod.Mesh2D, u: np.ndarray, title: str) -> str:
     n, t = m.node_count, len(m.triangles)
-    out = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-    ]
-    out += [f"{x!r} {y!r} 0.0" for x, y in m.nodes.tolist()]
-    out.append(f"CELLS {t} {4 * t}")
-    out += [f"3 {a} {b} {c}" for a, b, c in m.triangles.tolist()]
-    out.append(f"CELL_TYPES {t}")
-    out += ["5"] * t
-    out += [f"POINT_DATA {n}", "SCALARS u double 1", "LOOKUP_TABLE default"]
-    out += map(repr, u.tolist())
-    return "\n".join(out) + "\n"
-
-
-def _snapshot_csv(m: meshmod.Mesh2D, u: np.ndarray) -> str:
-    # the rows of `_csv` in one formatting pass: %r of a float is its str
-    return "x,y,u\n" + ("%r,%r,%r\n" * m.node_count) % tuple(
-        np.column_stack([m.nodes, u]).ravel().tolist())
+    return "".join([
+        f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {n} double\n",
+        meshmod.render_rows(np.column_stack([m.nodes, np.zeros(n)]), " "),
+        f"CELLS {t} {4 * t}\n",
+        meshmod.render_rows(np.column_stack([np.full(t, 3), m.triangles]), " "),
+        f"CELL_TYPES {t}\n", "5\n" * t,
+        f"POINT_DATA {n}\nSCALARS u double 1\nLOOKUP_TABLE default\n",
+        meshmod.render_rows(u[:, None], " ")])
 
 
 def cmd_evolve(args, parser) -> int:
@@ -272,19 +261,17 @@ def cmd_evolve(args, parser) -> int:
     # the files are written once the run has succeeded.
     traj = integrator.run(problem, m, args.tau, args.T, scheme,
                           start_mode="bootstrap", keep=snap_steps)
-    diagnostics = [["t", "mass", "energy"], *zip(
-        traj.times.tolist(), traj.mass.tolist(), traj.energy.tolist())]
 
     os.makedirs(args.out, exist_ok=True)
     files = []
     for (_, t), u in zip(sorted(snap_steps.items()), traj.snapshots):
         stem = os.path.join(args.out, f"snapshot_t{t:g}")
-        files.append((stem + ".csv", partial(_snapshot_csv, m, u)))
+        files.append((stem + ".csv", partial(_csv, "x,y,u", m.nodes, u)))
         if args.vtk:
             files.append((stem + ".vtk",
                           partial(_vtk_snapshot, m, u, f"u at t={t:g}")))
-    files.append((os.path.join(args.out, "diagnostics.csv"),
-                  partial(_csv, diagnostics)))
+    files.append((os.path.join(args.out, "diagnostics.csv"), partial(
+        _csv, "t,mass,energy", traj.times, traj.mass, traj.energy)))
     _write_files(files)
     return 0
 

@@ -260,18 +260,29 @@ def generate_disk_mesh(target_nodes: int, radius: float = 1.0) -> Mesh2D:
     return mesh
 
 
+def render_rows(rows: np.ndarray, sep: str) -> str:
+    """An (r, c) array as r lines of c values joined by `sep`.
+
+    Each value is written as its str: the shortest round-trip repr of a
+    float, the decimal of an int, and a string as itself. The values are
+    taken as Python scalars with `.tolist()`, so an object array holding
+    mixed rows keeps each value's own type, and all rows are formatted in
+    one pass.
+    """
+    r, c = rows.shape
+    return ((sep.join(["%s"] * c) + "\n") * r) % tuple(rows.ravel().tolist())
+
+
 def export_mesh(mesh: Mesh2D) -> str:
     """Serialize a mesh to the text format (exact float round trip)."""
-    out = ["MESH v1"]
-    if mesh.radius is not None:
-        out.append(f"RADIUS {float(mesh.radius)!r}")
-    out.append(f"NODES {mesh.node_count}")
-    out += [f"{x!r} {y!r}" for x, y in mesh.nodes.tolist()]
-    out.append(f"TRIANGLES {len(mesh.triangles)}")
-    out += [f"{i} {j} {k}" for i, j, k in mesh.triangles.tolist()]
-    out.append(f"BOUNDARY_EDGES {len(mesh.boundary_edges)}")
-    out += [f"{i} {j}" for i, j in mesh.boundary_edges.tolist()]
-    return "\n".join(out) + "\n"
+    radius = "" if mesh.radius is None else f"RADIUS {float(mesh.radius)!r}\n"
+    return "".join([
+        f"MESH v1\n{radius}NODES {mesh.node_count}\n",
+        render_rows(mesh.nodes, " "),
+        f"TRIANGLES {len(mesh.triangles)}\n",
+        render_rows(mesh.triangles, " "),
+        f"BOUNDARY_EDGES {len(mesh.boundary_edges)}\n",
+        render_rows(mesh.boundary_edges, " ")])
 
 
 _SECTION_KEYWORDS = ("MESH", "RADIUS", "NODES", "TRIANGLES", "BOUNDARY_EDGES")

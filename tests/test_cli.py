@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from chdbc import analysis, cli, mesh as meshmod
-from chdbc.cli import _csv, main
+from chdbc.cli import main
 from chdbc.integrator import bdf_scheme, run
-from chdbc.mesh import generate_disk_mesh, import_mesh, validate_mesh
+from chdbc.mesh import (disjoint_union, export_mesh, generate_disk_mesh, import_mesh,
+                        mesh_size, render_rows, validate_mesh)
 from chdbc.problems import MANUFACTURED, evolution_problem
 
 
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def rows_text(rows, sep=","):
+    # the row rule written row by row, independent of the renderer: the str
+    # of each value (a float's is its shortest round-trip repr), one line each
+    return "".join(sep.join(map(str, row)) + "\n" for row in rows)
 
 
 def test_convergence_row_count_and_header(tmp_path):
@@ -511,11 +518,11 @@ def test_streamed_evolve_csvs_equal_those_rendered_from_run(tmp_path):
         rows = [["x", "y", "u"]]
         rows += [[float(x), float(y), float(v)]
                  for (x, y), v in zip(mesh.nodes, u)]
-        assert read(out / f"snapshot_t{t:g}.csv") == _csv(rows).encode()
+        assert read(out / f"snapshot_t{t:g}.csv") == rows_text(rows).encode()
     rows = [["t", "mass", "energy"]]
     rows += [[float(t), float(q), float(e)]
              for t, q, e in zip(traj.times, traj.mass, traj.energy)]
-    assert read(out / "diagnostics.csv") == _csv(rows).encode()
+    assert read(out / "diagnostics.csv") == rows_text(rows).encode()
 
 
 def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path):
@@ -532,3 +539,94 @@ def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+# The writers below run under NumPy's 1.13 print options, where a NumPy
+# float prints with 12 digits: they must format Python scalars to match
+# their references.
+
+
+def test_render_rows_writes_each_value_as_its_str():
+    floats = [[-0.0, 5e-324], [1e16, 0.1 + 0.2], [np.inf, -np.inf]]
+    ints = [[2 ** 31, -2 ** 40], [2 ** 62, 7]]
+    mixed = [["x", "NA", "y"], [2 ** 40, -0.0, "NA"], [2 ** 70, 5e-324, np.inf]]
+    with np.printoptions(legacy="1.13"):
+        assert render_rows(np.array(floats), ",") == rows_text(floats)
+        assert render_rows(np.array(ints), " ") == rows_text(ints, " ")
+        assert render_rows(np.array(mixed, dtype=object), ",") == rows_text(mixed)
+        assert render_rows(np.empty((0, 3)), ",") == ""
+    assert rows_text(floats) == "-0.0,5e-324\n1e+16,0.30000000000000004\ninf,-inf\n"
+
+
+def mesh_reference(m):
+    text = "MESH v1\n" + ("" if m.radius is None else f"RADIUS {m.radius!r}\n")
+    for name, rows in (("NODES", m.nodes), ("TRIANGLES", m.triangles),
+                       ("BOUNDARY_EDGES", m.boundary_edges)):
+        text += f"{name} {len(rows)}\n" + rows_text(rows.tolist(), " ")
+    return text
+
+
+def test_mesh_files_match_their_per_row_reference(tmp_path):
+    out = tmp_path / "disk.mesh"
+    with np.printoptions(legacy="1.13"):
+        assert main(["mesh", "--nodes", "160", "--radius", "10",
+                     "--out", str(out)]) == 0
+        union = disjoint_union([generate_disk_mesh(20, 1.0),
+                                generate_disk_mesh(40, 2.5)])
+        union_text = export_mesh(union)
+    assert read(out) == mesh_reference(generate_disk_mesh(160, 10.0)).encode()
+    assert read(out).startswith(b"MESH v1\nRADIUS 10.0\nNODES ")
+    assert union_text == mesh_reference(union)
+    assert "RADIUS" not in union_text
+
+
+def vtk_reference(m, u, title):
+    n, t = m.node_count, len(m.triangles)
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {n} double"]
+    lines += [f"{x!r} {y!r} 0.0" for x, y in m.nodes.tolist()]
+    lines += [f"CELLS {t} {4 * t}"]
+    lines += [f"3 {a} {b} {c}" for a, b, c in m.triangles.tolist()]
+    lines += [f"CELL_TYPES {t}"] + ["5"] * t
+    lines += [f"POINT_DATA {n}", "SCALARS u double 1", "LOOKUP_TABLE default"]
+    lines += [repr(v) for v in u.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def test_evolve_files_match_their_per_row_references(tmp_path):
+    out = tmp_path / "evo"
+    with np.printoptions(legacy="1.13"):
+        rc = main(["evolve", "--nodes", "80", "--radius", "10", "--k", "1",
+                   "--tau", "0.0125", "--T", "0.025", "--snapshots", "0,0.025",
+                   "--vtk", "--out", str(out)])
+    assert rc == 0
+    m = generate_disk_mesh(80, 10.0)
+    traj = run(evolution_problem(seed=0), m, 0.0125, 0.025, bdf_scheme(1),
+               start_mode="bootstrap", keep=[0, 2])
+    for t, u in zip(("0", "0.025"), traj.snapshots):
+        csv = [["x", "y", "u"], *np.column_stack([m.nodes, u]).tolist()]
+        assert read(out / f"snapshot_t{t}.csv") == rows_text(csv).encode()
+        assert read(out / f"snapshot_t{t}.vtk") == vtk_reference(
+            m, u, f"u at t={t}").encode()
+    diagnostics = [["t", "mass", "energy"], *zip(
+        traj.times.tolist(), traj.mass.tolist(), traj.energy.tolist())]
+    assert read(out / "diagnostics.csv") == rows_text(diagnostics).encode()
+    assert sorted(os.listdir(out)) == sorted(
+        ["diagnostics.csv", "snapshot_t0.csv", "snapshot_t0.025.csv",
+         "snapshot_t0.vtk", "snapshot_t0.025.vtk"])
+
+
+def test_one_mesh_convergence_table_matches_its_per_row_reference(tmp_path):
+    out = tmp_path / "table.csv"
+    with np.printoptions(legacy="1.13"):
+        rc = main(["convergence", "--problem", "linear", "--refinements", "2",
+                   "--tau", "0.05", "--tau", "0.025", "--T", "0.1", "--out", str(out)])
+    assert rc == 0
+    spec, m = MANUFACTURED["linear"](), generate_disk_mesh(40, 1.0)
+    table = [["i", "nodes", "h", "tau", "err_L2", "err_H1", "eoc_L2", "eoc_H1"]]
+    for tau in (0.05, 0.025):
+        traj = run(spec, m, tau, 0.1, bdf_scheme(3), start_mode="exact")
+        rep = analysis.final_error(spec, m, traj.times[-1], traj.u_final, traj.w_final)
+        table.append([2, m.node_count, mesh_size(m), tau, rep.err_L2, rep.err_H1,
+                      "NA", "NA"])
+    assert read(out) == rows_text(table).encode()

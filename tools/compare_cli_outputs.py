@@ -56,11 +56,15 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("evolve-k2-small-tau",
      ["evolve", "--nodes", "160", "--radius", "1", "--k", "2", "--tau", "1e-5",
       "--T", "1e-3", "--snapshots", "0,0.001", "--out", "out"]),
-    # the dissection and the snapshot renderer at size
+    # the dissection and the row renderer at size, in the CSVs and in VTK
     ("evolve-10k-two-snapshots",
      ["evolve", "--nodes", "10240", "--T", "0.0125", "--snapshots", "0,0.0125",
       "--out", "out"]),
+    ("evolve-10k-vtk",
+     ["evolve", "--nodes", "10240", "--T", "0.0125", "--snapshots", "0.0125",
+      "--vtk", "--out", "out"]),
     ("mesh-41k", ["mesh", "--nodes", "40960", "--radius", "10", "--validate"]),
+    ("mesh-20", ["mesh", "--nodes", "20", "--radius", "1"]),
     # error paths: their messages and exit codes are outputs too
     ("evolve-strength-inf", ["evolve", "--strength", "inf", "--out", "out"]),
     ("convergence-tau-not-dividing",
