@@ -29,14 +29,6 @@ BOOTSTRAP_SUBSTEP_CAP = 1000
 LOAD_BLOCK_VALUES = 2 ** 12
 
 
-def _delta_fractions(k: int) -> List[Fraction]:
-    # delta(xi) = sum_{l=1..k} (1/l) (1 - xi)^l, expanded exactly
-    co = [Fraction(0)] * (k + 1)
-    for l in range(1, k + 1):
-        for j in range(l + 1):
-            co[j] += Fraction(1, l) * comb(l, j) * (-1) ** j
-    return co
-
 @dataclass(frozen=True)
 class BDFScheme:
     """Step count with method and extrapolation coefficients."""
@@ -55,10 +47,13 @@ def bdf_scheme(k: int) -> BDFScheme:
     """
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_ORDER:
         raise ValueError(f"BDF order k must be an integer in [1, {MAX_ORDER}], got {k}")
+    # delta(xi) = sum_{l=1..k} (1/l) (1 - xi)^l; as sum_{l=j..k} C(l, j)/l =
+    # C(k, j)/j, delta_0 = H_k and delta_j = (-1)^j C(k, j)/j for j >= 1
+    delta = [float(sum(Fraction(1, l) for l in range(1, k + 1)))]
+    delta += [(-1) ** j * comb(k, j) / j for j in range(1, k + 1)]
     # gamma(xi) = (1 - (1 - xi)^k) / xi = sum_j (-1)^j C(k, j+1) xi^j
     gamma = [(-1) ** j * comb(k, j + 1) for j in range(k)]
-    return BDFScheme(k=k, delta=np.array([float(c) for c in _delta_fractions(k)]),
-                     gamma=np.array(gamma, dtype=float))
+    return BDFScheme(k=k, delta=np.array(delta), gamma=np.array(gamma, dtype=float))
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -308,8 +309,8 @@ def _section_rows(keyword: str, count: int, rows, width: int, dtype,
                   header_ln: int) -> np.ndarray:
     """Parse the `count` (line, content) rows of a section in one loadtxt call.
 
-    `rows` is a slice of the file's content lines, so it is never longer
-    than the file. On a parse failure the rows are re-checked one at a time
+    `rows` holds the content lines that follow the header, at most `count`
+    of them. On a parse failure the rows are re-checked one at a time
     to name the offending line.
     """
     if count == 0:
@@ -347,31 +348,31 @@ def import_mesh(text: str) -> Mesh2D:
     bad rows or indices, or any invariant violation of the parsed mesh.
     """
     lines = text.splitlines()
-    content = [(ln, c) for ln, line in enumerate(lines, 1)
-               if (c := line.partition("#")[0].strip())]
     end = (len(lines), "")  # stands for the missing line after the last
+    content = ((ln, c) for ln, line in enumerate(lines, 1)
+               if (c := line.partition("#")[0].strip()))
 
-    first = content[0] if content else end
+    first = next(content, end)
     if first[1] != "MESH v1":
         raise MeshFormatError("expected header 'MESH v1'", first[0])
-    pos = 1
+    header = next(content, end)
     radius = None
-    if pos < len(content) and content[pos][1].split()[0] == "RADIUS":
-        radius = _header_value(content[pos], "RADIUS", float)
+    if header[1].split()[:1] == ["RADIUS"]:
+        radius = _header_value(header, "RADIUS", float)
         if not (radius > 0) or not math.isfinite(radius):
             raise MeshFormatError(
-                f"RADIUS must be positive and finite, got {radius!r}", content[pos][0])
-        pos += 1
+                f"RADIUS must be positive and finite, got {radius!r}", header[0])
+        header = next(content, end)
 
     sections = []
     for keyword, width, dtype in (("NODES", 2, float),
                                   ("TRIANGLES", 3, np.int64),
                                   ("BOUNDARY_EDGES", 2, np.int64)):
-        header = content[pos] if pos < len(content) else end
         count = _header_value(header, keyword, int)
         if count < 0:
             raise MeshFormatError(f"negative {keyword} count", header[0])
-        rows = content[pos + 1:pos + 1 + count]
+        # islice rejects a stop past sys.maxsize; no section outgrows the file
+        rows = list(islice(content, min(count, len(lines))))
         values = _section_rows(keyword, count, rows, width, dtype, header[0])
         if keyword == "NODES":
             n_nodes = len(values)
@@ -384,11 +385,12 @@ def import_mesh(text: str) -> Mesh2D:
             raise MeshFormatError(
                 f"{what} in {keyword} row {r}: {rows[r][1]!r}", rows[r][0])
         sections.append((values, header[0]))
-        pos += 1 + count
+        header = next(content, end)
 
-    if pos < len(content):
+    if header is not end:
         raise MeshFormatError(
-            f"unexpected trailing content {content[pos][1]!r}", content[pos][0])
+            f"unexpected trailing content {header[1]!r}", header[0])
+    del lines, content, rows
 
     (nodes, _), (triangles, tri_ln), (edges, edge_ln) = sections
     mesh = Mesh2D(nodes=nodes, triangles=triangles,

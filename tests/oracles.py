@@ -1,0 +1,116 @@
+"""Test references, one copy each: fixture meshes and independent oracles.
+
+The brute-force P1 assembly and the BDF coefficient expansions are derived
+differently from `chdbc` on purpose, so a test that compares against them
+checks the package, not a copy of it. The suite's tests import from here;
+this module defines no tests.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import numpy as np
+import scipy.sparse as sp
+
+from chdbc.saddle import build_step_matrix
+
+UNIT_TRIANGLE = """\
+MESH v1
+NODES 3
+0.0 0.0
+1.0 0.0
+0.0 1.0
+TRIANGLES 1
+0 1 2
+BOUNDARY_EDGES 3
+0 1
+1 2
+2 0
+"""
+
+UNIT_SQUARE = """\
+MESH v1
+NODES 4
+0.0 0.0
+1.0 0.0
+1.0 1.0
+0.0 1.0
+TRIANGLES 2
+0 1 2
+0 2 3
+BOUNDARY_EDGES 4
+0 1
+1 2
+2 3
+3 0
+"""
+
+
+def scalar_step_matrix(m, a, ratio):
+    """The step matrix of the 1x1 system M = [m], A = [a]."""
+    return build_step_matrix(sp.csr_matrix(np.array([[m]])),
+                             sp.csr_matrix(np.array([[a]])), ratio, np.arange(1))
+
+
+# --- brute-force P1 assembly: edge-midpoint quadrature, exact for the
+# quadratic mass integrands, and per-element linear solves for the gradients
+
+def brute_force_mass(mesh):
+    n = mesh.node_count
+    M = np.zeros((n, n))
+    for t in mesh.triangles:
+        p = mesh.nodes[t]
+        area = 0.5 * abs(np.linalg.det(np.column_stack([p[1] - p[0], p[2] - p[0]])))
+        coeff = np.linalg.solve(np.column_stack([np.ones(3), p]), np.eye(3))
+        mids = [(p[0] + p[1]) / 2, (p[1] + p[2]) / 2, (p[2] + p[0]) / 2]
+        for a in range(3):
+            for b in range(3):
+                val = sum(
+                    (coeff[0, a] + coeff[1, a] * q[0] + coeff[2, a] * q[1])
+                    * (coeff[0, b] + coeff[1, b] * q[0] + coeff[2, b] * q[1])
+                    for q in mids
+                )
+                M[t[a], t[b]] += area / 3.0 * val
+    for e in mesh.boundary_edges:
+        length = float(np.hypot(*(mesh.nodes[e[1]] - mesh.nodes[e[0]])))
+        # Simpson on the segment, exact for the quadratic products
+        for a in range(2):
+            for b in range(2):
+                f = lambda s: (1 - s if a == 0 else s) * (1 - s if b == 0 else s)
+                M[e[a], e[b]] += length * (f(0.0) + 4 * f(0.5) + f(1.0)) / 6.0
+    return M
+
+
+def brute_force_stiffness(mesh):
+    n = mesh.node_count
+    A = np.zeros((n, n))
+    for t in mesh.triangles:
+        p = mesh.nodes[t]
+        area = 0.5 * abs(np.linalg.det(np.column_stack([p[1] - p[0], p[2] - p[0]])))
+        coeff = np.linalg.solve(np.column_stack([np.ones(3), p]), np.eye(3))
+        grads = coeff[1:, :]  # rows: x and y coefficients
+        A[np.ix_(t, t)] += area * grads.T @ grads
+    for e in mesh.boundary_edges:
+        length = float(np.hypot(*(mesh.nodes[e[1]] - mesh.nodes[e[0]])))
+        dphi = np.array([-1.0, 1.0]) / length
+        A[np.ix_(e, e)] += length * np.outer(dphi, dphi)
+    return A
+
+
+# --- BDF coefficients as the doubles nearest their exact rational expansions
+
+def oracle_delta(k):
+    """Expand sum_{l=1..k} (1/l)(1-xi)^l with exact binomials."""
+    co = [Fraction(0)] * (k + 1)
+    for l in range(1, k + 1):
+        for j in range(l + 1):
+            co[j] += Fraction(1, l) * comb(l, j) * Fraction(-1) ** j
+    return [float(c) for c in co]
+
+
+def oracle_gamma(k):
+    """Divide 1 - (1-xi)^k by xi with exact arithmetic."""
+    numerator = [-comb(k, j) * Fraction(-1) ** j for j in range(k + 1)]
+    numerator[0] += 1
+    assert numerator[0] == 0
+    return [float(c) for c in numerator[1:]]

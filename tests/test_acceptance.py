@@ -6,8 +6,6 @@ report lines alongside the pytest verdicts.
 
 import math
 import time
-from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
@@ -24,6 +22,8 @@ from chdbc.problems import (
     verify_manufactured,
 )
 from chdbc.saddle import build_step_matrix, nested_dissection_order
+from oracles import (UNIT_SQUARE, brute_force_mass, brute_force_stiffness,
+                     oracle_delta, oracle_gamma)
 
 SWEEP_TAU = 0.0025
 SWEEP_REFINEMENTS = (1, 2, 3, 4, 5)
@@ -159,76 +159,12 @@ def test_criterion_6_energy_decay_backward_euler():
             f"worst per-step increase={worst:.3e} <= 1e-12")
 
 
-# --- independent brute-force references for criterion 7 -------------------
-
-def _brute_force_mass(mesh):
-    n = mesh.node_count
-    M = np.zeros((n, n))
-    for t in mesh.triangles:
-        p = mesh.nodes[t]
-        area = 0.5 * abs(np.linalg.det(np.column_stack([p[1] - p[0],
-                                                        p[2] - p[0]])))
-        V = np.column_stack([np.ones(3), p])
-        coeff = np.linalg.solve(V, np.eye(3))
-        mids = [(p[0] + p[1]) / 2, (p[1] + p[2]) / 2, (p[2] + p[0]) / 2]
-        for a in range(3):
-            for b in range(3):
-                val = sum(
-                    (coeff[0, a] + coeff[1, a] * q[0] + coeff[2, a] * q[1])
-                    * (coeff[0, b] + coeff[1, b] * q[0] + coeff[2, b] * q[1])
-                    for q in mids
-                )
-                M[t[a], t[b]] += area / 3.0 * val
-    for e in mesh.boundary_edges:
-        length = float(np.hypot(*(mesh.nodes[e[1]] - mesh.nodes[e[0]])))
-        for a in range(2):
-            for b in range(2):
-                f = lambda s: (1 - s if a == 0 else s) * (1 - s if b == 0 else s)
-                M[e[a], e[b]] += length * (f(0.0) + 4 * f(0.5) + f(1.0)) / 6.0
-    return M
-
-
-def _brute_force_stiffness(mesh):
-    n = mesh.node_count
-    A = np.zeros((n, n))
-    for t in mesh.triangles:
-        p = mesh.nodes[t]
-        area = 0.5 * abs(np.linalg.det(np.column_stack([p[1] - p[0],
-                                                        p[2] - p[0]])))
-        coeff = np.linalg.solve(np.column_stack([np.ones(3), p]), np.eye(3))
-        grads = coeff[1:, :]
-        A[np.ix_(t, t)] += area * grads.T @ grads
-    for e in mesh.boundary_edges:
-        length = float(np.hypot(*(mesh.nodes[e[1]] - mesh.nodes[e[0]])))
-        dphi = np.array([-1.0, 1.0]) / length
-        A[np.ix_(e, e)] += length * np.outer(dphi, dphi)
-    return A
-
-
-UNIT_SQUARE = """\
-MESH v1
-NODES 4
-0.0 0.0
-1.0 0.0
-1.0 1.0
-0.0 1.0
-TRIANGLES 2
-0 1 2
-0 2 3
-BOUNDARY_EDGES 4
-0 1
-1 2
-2 3
-3 0
-"""
-
-
 def test_criterion_7_oracle_equivalence():
     square = import_mesh(UNIT_SQUARE)
     M = assembly.assemble_mass(square).toarray()
     A = assembly.assemble_stiffness(square).toarray()
-    m_err = np.abs(M - _brute_force_mass(square)).max()
-    a_err = np.abs(A - _brute_force_stiffness(square)).max()
+    m_err = np.abs(M - brute_force_mass(square)).max()
+    a_err = np.abs(A - brute_force_stiffness(square)).max()
     # frozen hand-computed dense references
     M_hand = np.array([
         [5 / 6, 5 / 24, 1 / 12, 5 / 24],
@@ -266,32 +202,17 @@ def test_criterion_7_oracle_equivalence():
             f"saddle vs dense {solve_err:.1e}")
 
 
-def _oracle_delta(k):
-    co = [Fraction(0)] * (k + 1)
-    for l in range(1, k + 1):
-        for j in range(l + 1):
-            co[j] += Fraction(1, l) * comb(l, j) * Fraction(-1) ** j
-    return [float(c) for c in co]
-
-
-def _oracle_gamma(k):
-    numerator = [-comb(k, j) * Fraction(-1) ** j for j in range(k + 1)]
-    numerator[0] += 1
-    assert numerator[0] == 0
-    return [float(c) for c in numerator[1:]]
-
-
 def test_criterion_8_coefficient_exactness():
     worst = 0.0
     exact = True
     for k in range(1, 6):
         d = bdf_scheme(k).delta
         g = bdf_scheme(k).gamma
-        exact &= list(d) == _oracle_delta(k) and list(g) == _oracle_gamma(k)
+        exact &= list(d) == oracle_delta(k) and list(g) == oracle_gamma(k)
         worst = max(
             worst,
-            float(np.abs(np.array(d) - np.array(_oracle_delta(k))).max()),
-            float(np.abs(np.array(g) - np.array(_oracle_gamma(k))).max()),
+            float(np.abs(np.array(d) - np.array(oracle_delta(k))).max()),
+            float(np.abs(np.array(g) - np.array(oracle_gamma(k))).max()),
         )
     _report(8, "BDF/extrapolation coefficients k=1..5", exact,
             f"exact match against rational expansion (max diff {worst:.1e})")

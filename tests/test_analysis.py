@@ -11,25 +11,12 @@ from chdbc.integrator import Stepper, bdf_scheme, run
 from chdbc.mesh import (generate_disk_mesh, import_mesh, mesh_size, segment_lengths,
                         signed_areas)
 from chdbc.problems import evolution_problem, manufactured_linear
-
-TRI = """\
-MESH v1
-NODES 3
-0.0 0.0
-1.0 0.0
-0.0 1.0
-TRIANGLES 1
-0 1 2
-BOUNDARY_EDGES 3
-0 1
-1 2
-2 0
-"""
+from oracles import UNIT_TRIANGLE
 
 
 @pytest.fixture(scope="module")
 def tri_bulk_mass():
-    return assembly.assemble_bulk_mass(import_mesh(TRI))
+    return assembly.assemble_bulk_mass(import_mesh(UNIT_TRIANGLE))
 
 
 def test_l2_norm_examples(tri_bulk_mass):

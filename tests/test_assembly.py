@@ -21,102 +21,18 @@ from chdbc.mesh import (
     signed_areas,
     validate_mesh,
 )
-
-TRI_NO_BOUNDARY = """\
-MESH v1
-NODES 3
-0.0 0.0
-1.0 0.0
-0.0 1.0
-TRIANGLES 1
-0 1 2
-BOUNDARY_EDGES 3
-0 1
-1 2
-2 0
-"""
-
-UNIT_SQUARE = """\
-MESH v1
-NODES 4
-0.0 0.0
-1.0 0.0
-1.0 1.0
-0.0 1.0
-TRIANGLES 2
-0 1 2
-0 2 3
-BOUNDARY_EDGES 4
-0 1
-1 2
-2 3
-3 0
-"""
+from oracles import (UNIT_SQUARE, UNIT_TRIANGLE, brute_force_mass,
+                     brute_force_stiffness)
 
 
 @pytest.fixture(scope="module")
 def tri():
-    return import_mesh(TRI_NO_BOUNDARY)
+    return import_mesh(UNIT_TRIANGLE)
 
 
 @pytest.fixture(scope="module")
 def square():
     return import_mesh(UNIT_SQUARE)
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force assembler (edge-midpoint quadrature, exact for the
-# quadratic mass integrands; per-element linear solves for the gradients)
-
-def reference_mass(mesh):
-    n = mesh.node_count
-    M = np.zeros((n, n))
-    for t in mesh.triangles:
-        p = mesh.nodes[t]
-        area = 0.5 * abs(np.linalg.det(np.column_stack([p[1] - p[0], p[2] - p[0]])))
-        mids = [(p[0] + p[1]) / 2, (p[1] + p[2]) / 2, (p[2] + p[0]) / 2]
-        for a in range(3):
-            for b in range(3):
-                val = 0.0
-                for q in mids:
-                    val += _hat(p, a, q) * _hat(p, b, q)
-                M[t[a], t[b]] += area / 3.0 * val
-    for e in mesh.boundary_edges:
-        p0, p1 = mesh.nodes[e[0]], mesh.nodes[e[1]]
-        length = float(np.hypot(*(p1 - p0)))
-        # Simpson on the segment, exact for the quadratic products
-        for a in range(2):
-            for b in range(2):
-                f = lambda s: (1 - s if a == 0 else s) * (1 - s if b == 0 else s)
-                M[e[a], e[b]] += length * (f(0) + 4 * f(0.5) + f(1)) / 6.0
-    return M
-
-
-def reference_stiffness(mesh):
-    n = mesh.node_count
-    A = np.zeros((n, n))
-    for t in mesh.triangles:
-        p = mesh.nodes[t]
-        area = 0.5 * abs(np.linalg.det(np.column_stack([p[1] - p[0], p[2] - p[0]])))
-        V = np.column_stack([np.ones(3), p])
-        coeff = np.linalg.solve(V, np.eye(3))  # rows: 1, x, y coefficients
-        grads = coeff[1:, :]
-        A[np.ix_(t, t)] += area * grads.T @ grads
-    for e in mesh.boundary_edges:
-        p0, p1 = mesh.nodes[e[0]], mesh.nodes[e[1]]
-        length = float(np.hypot(*(p1 - p0)))
-        dphi = np.array([-1.0, 1.0]) / length
-        A[np.ix_(e, e)] += length * np.outer(dphi, dphi)
-    return A
-
-
-def _hat(p, a, q):
-    V = np.column_stack([np.ones(3), p])
-    coeff = np.linalg.solve(V, np.eye(3))[:, a]
-    return coeff[0] + coeff[1] * q[0] + coeff[2] * q[1]
-
-
-# ---------------------------------------------------------------------------
 
 
 def test_single_triangle_bulk_mass(tri):
@@ -126,7 +42,7 @@ def test_single_triangle_bulk_mass(tri):
 
 
 def test_boundary_edge_adds_segment_mass():
-    one_edge = TRI_NO_BOUNDARY  # all three edges are boundary here
+    one_edge = UNIT_TRIANGLE  # all three edges are boundary here
     mesh = import_mesh(one_edge)
     Ms = assemble_surface_mass(mesh).toarray()
     # contribution of edge (0, 1), length 1, in rows/cols {0, 1}
@@ -216,8 +132,8 @@ def test_perturbed_disk_keeps_the_constant_identities(target, radius, seed, amou
 def test_square_matches_reference_assembler(square):
     M = assemble_mass(square).toarray()
     A = assemble_stiffness(square).toarray()
-    np.testing.assert_allclose(M, reference_mass(square), atol=1e-12)
-    np.testing.assert_allclose(A, reference_stiffness(square), atol=1e-12)
+    np.testing.assert_allclose(M, brute_force_mass(square), atol=1e-12)
+    np.testing.assert_allclose(A, brute_force_stiffness(square), atol=1e-12)
     # frozen dense references, hand-checked
     M_ref = np.array([
         [5 / 6, 5 / 24, 1 / 12, 5 / 24],
@@ -238,9 +154,9 @@ def test_square_matches_reference_assembler(square):
 def test_disk_mesh_matches_reference_assembler():
     mesh = generate_disk_mesh(20, 1.0)
     np.testing.assert_allclose(assemble_mass(mesh).toarray(),
-                               reference_mass(mesh), atol=1e-12)
+                               brute_force_mass(mesh), atol=1e-12)
     np.testing.assert_allclose(assemble_stiffness(mesh).toarray(),
-                               reference_stiffness(mesh), atol=1e-12)
+                               brute_force_stiffness(mesh), atol=1e-12)
 
 
 def test_matrices_are_symmetric():

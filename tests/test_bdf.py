@@ -1,42 +1,22 @@
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
 
 from chdbc.integrator import bdf_scheme
-
-
-def oracle_delta(k):
-    """Expand sum_{l=1..k} (1/l)(1-xi)^l with exact binomials."""
-    co = [Fraction(0)] * (k + 1)
-    for l in range(1, k + 1):
-        for j in range(l + 1):
-            co[j] += Fraction(1, l) * comb(l, j) * Fraction(-1) ** j
-    return co
-
-
-def oracle_gamma(k):
-    """Divide 1 - (1-xi)^k by xi with exact arithmetic."""
-    numerator = [Fraction(1) - Fraction(1)] + [
-        -comb(k, j) * Fraction(-1) ** j for j in range(1, k + 1)
-    ]
-    assert numerator[0] == 0
-    return numerator[1:]
+from oracles import oracle_delta, oracle_gamma
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_delta_matches_expansion_oracle_exactly(k):
     got = bdf_scheme(k).delta
-    expected = [float(c) for c in oracle_delta(k)]
-    assert list(got) == expected
+    assert list(got) == oracle_delta(k)
 
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_gamma_matches_expansion_oracle_exactly(k):
     got = bdf_scheme(k).gamma
-    expected = [float(c) for c in oracle_gamma(k)]
-    assert list(got) == expected
+    assert list(got) == oracle_gamma(k)
 
 
 def test_known_small_orders():

@@ -15,6 +15,7 @@ from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import (MANUFACTURED, ProblemSpec, evolution_problem,
                             manufactured_linear, manufactured_nonlinear, zero_field)
 from chdbc.saddle import build_step_matrix, nested_dissection_order
+from oracles import scalar_step_matrix
 
 MESH_WITH_CENTER_NODE = """\
 MESH v1
@@ -37,15 +38,10 @@ def _nonlinear(F):
     return ProblemSpec(nonlinearity=F)
 
 
-def _scalar_system(m, a, ratio):
-    return build_step_matrix(sp.csr_matrix(np.array([[m]])),
-                             sp.csr_matrix(np.array([[a]])), ratio, np.arange(1))
-
-
 def test_backward_euler_scalar_decay():
     # M = A = [1], zero forcing: (1/tau)(u1 - u0) + w1 = 0, w1 = u1
     tau, u0 = 0.1, 0.7
-    K = _scalar_system(1.0, 1.0, 1.0 / tau)
+    K = scalar_step_matrix(1.0, 1.0, 1.0 / tau)
     M = sp.csr_matrix(np.array([[1.0]]))
     u1, w1 = bdf_step(LINEAR, bdf_scheme(1), K, M, [np.array([u0])],
                       np.zeros(1), np.zeros(1))
@@ -54,7 +50,7 @@ def test_backward_euler_scalar_decay():
 
 
 def test_zero_history_zero_forcing_stays_zero():
-    K = _scalar_system(1.0, 1.0, 10.0)
+    K = scalar_step_matrix(1.0, 1.0, 10.0)
     M = sp.csr_matrix(np.array([[1.0]]))
     u1, w1 = bdf_step(LINEAR, bdf_scheme(1), K, M, [np.zeros(1)],
                       np.zeros(1), np.zeros(1))
@@ -100,7 +96,7 @@ def test_constant_history_kills_double_well_term():
 def test_linearly_implicit_scalar_quadratic_hand_solve():
     # u' step with F(u) = u^2: u1 = (u0 - tau*u0^2) / (1 + tau)
     tau, u0 = 0.1, 0.7
-    K = _scalar_system(1.0, 1.0, 1.0 / tau)
+    K = scalar_step_matrix(1.0, 1.0, 1.0 / tau)
     M = sp.csr_matrix(np.array([[1.0]]))
     u1, _ = bdf_step(_nonlinear(lambda u: u * u), bdf_scheme(1), K, M,
                      [np.array([u0])], np.zeros(1), np.zeros(1))
@@ -108,7 +104,7 @@ def test_linearly_implicit_scalar_quadratic_hand_solve():
 
 
 def test_step_requires_exact_history_length():
-    K = _scalar_system(1.0, 1.0, 1.0)
+    K = scalar_step_matrix(1.0, 1.0, 1.0)
     M = sp.csr_matrix(np.array([[1.0]]))
     with pytest.raises(ValueError, match="history"):
         bdf_step(LINEAR, bdf_scheme(2), K, M, [np.zeros(1)], np.zeros(1),

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,20 +19,7 @@ from chdbc.mesh import (
     signed_areas,
     validate_mesh,
 )
-
-UNIT_TRIANGLE = """\
-MESH v1
-NODES 3
-0.0 0.0
-1.0 0.0
-0.0 1.0
-TRIANGLES 1
-0 1 2
-BOUNDARY_EDGES 3
-0 1
-1 2
-2 0
-"""
+from oracles import UNIT_TRIANGLE
 
 
 def test_five_node_mesh_is_the_minimal_ring():
@@ -128,6 +116,19 @@ def test_export_import_round_trip():
         np.testing.assert_array_equal(again.boundary_edges, m.boundary_edges)
         assert again.radius == m.radius
         validate_mesh(again)
+
+
+def test_import_holds_one_section_of_lines_at_a_time():
+    # the file's lines plus one section's rows and arrays read about 7.8x
+    # the text; a (line number, content) pair kept for every line reads 14x
+    text = export_mesh(generate_disk_mesh(10240, 10.0))
+    tracemalloc.start()
+    try:
+        import_mesh(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(text)
 
 
 def test_import_minimal_triangle_without_radius():

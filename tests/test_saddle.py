@@ -12,11 +12,7 @@ from chdbc.mesh import Mesh2D, disjoint_union, generate_disk_mesh
 from chdbc.problems import evolution_problem, manufactured_linear
 from chdbc import saddle
 from chdbc.saddle import PANEL_SIZE, build_step_matrix, nested_dissection_order
-
-
-def _one_by_one(m, a, ratio):
-    return build_step_matrix(sp.csr_matrix(np.array([[m]])),
-                             sp.csr_matrix(np.array([[a]])), ratio, np.arange(1))
+from oracles import scalar_step_matrix
 
 
 def _disk_step_matrix(mesh, ratio):
@@ -26,15 +22,15 @@ def _disk_step_matrix(mesh, ratio):
 
 
 def test_scalar_block_layouts():
-    K = _one_by_one(1.0, 0.0, 2.0)
+    K = scalar_step_matrix(1.0, 0.0, 2.0)
     np.testing.assert_allclose(K.matrix.toarray(), [[2.0, 0.0], [0.0, 1.0]])
-    K = _one_by_one(1.0, 1.0, 1.0)
+    K = scalar_step_matrix(1.0, 1.0, 1.0)
     np.testing.assert_allclose(K.matrix.toarray(), [[1.0, 1.0], [-1.0, 1.0]])
     assert np.linalg.det(K.matrix.toarray()) == pytest.approx(2.0)
 
 
 def test_scalar_solves():
-    K = _one_by_one(1.0, 1.0, 1.0)
+    K = scalar_step_matrix(1.0, 1.0, 1.0)
     np.testing.assert_allclose(K.solve(np.array([2.0, 0.0])), [1.0, 1.0],
                                atol=1e-15)
     np.testing.assert_array_equal(K.solve(np.zeros(2)), np.zeros(2))

@@ -64,6 +64,8 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
      ["evolve", "--nodes", "10240", "--T", "0.0125", "--snapshots", "0.0125",
       "--vtk", "--out", "out"]),
     ("mesh-41k", ["mesh", "--nodes", "40960", "--radius", "10", "--validate"]),
+    # the reader at size: --validate re-imports the 12.4 MB text it wrote
+    ("mesh-164k", ["mesh", "--nodes", "163840", "--radius", "10", "--validate"]),
     ("mesh-20", ["mesh", "--nodes", "20", "--radius", "1"]),
     # error paths: their messages and exit codes are outputs too
     ("evolve-strength-inf", ["evolve", "--strength", "inf", "--out", "out"]),
