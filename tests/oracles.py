@@ -1,4 +1,5 @@
-"""Test references, one copy each: fixture meshes and independent oracles.
+"""Test references, one copy each: fixture meshes, independent oracles and
+the seeded temporal-order measurement.
 
 The brute-force P1 assembly and the BDF coefficient expansions are derived
 differently from `chdbc` on purpose, so a test that compares against them
@@ -12,6 +13,8 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
+from chdbc import analysis, assembly
+from chdbc.integrator import Stepper, bdf_scheme, step_count
 from chdbc.saddle import build_step_matrix
 
 UNIT_TRIANGLE = """\
@@ -114,3 +117,30 @@ def oracle_gamma(k):
     numerator[0] += 1
     assert numerator[0] == 0
     return [float(c) for c in numerator[1:]]
+
+
+# --- temporal order by self-convergence, seeded past the start transient
+
+def seeded_temporal_eocs(problem, mesh, k, tau_ref, t_off, taus):
+    """BDF-k L2 EOCs at t = 1 between the step sizes `taus`, largest first.
+
+    The reference is a run at `tau_ref` from exact starts. Each coarse run
+    takes its k starting values from the reference at t_off, t_off + tau,
+    ... (t_off and every tau are multiples of tau_ref) and is measured
+    against the reference's u at t = 1.
+    """
+    M = assembly.assemble_mass(mesh)
+    scheme = bdf_scheme(k)
+    ref_stepper = Stepper(problem, mesh, tau_ref, scheme)
+    ref = [(u, w) for _, _, u, w in ref_stepper.stream(
+        step_count(tau_ref, 1.0, k), ref_stepper.starts("exact"))]
+    i0 = round(t_off / tau_ref)
+    errs = []
+    for tau in taus:
+        stride = round(tau / tau_ref)
+        starts = [ref[i0 + j * stride] for j in range(k)]
+        stepper = Stepper(problem, mesh, tau, scheme, t_off)
+        for _, _, u, _ in stepper.stream(step_count(tau, 1.0 - t_off, k), starts):
+            pass  # u ends as the level at t = 1
+        errs.append(analysis.l2_norm(M, u - ref[-1][0]))
+    return analysis.eoc(errs, taus)

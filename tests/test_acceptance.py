@@ -4,16 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines alongside the pytest verdicts.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from chdbc import analysis, assembly, problems
+from chdbc import analysis, assembly
 from chdbc.cli import main as cli_main
 from chdbc.integrator import Stepper, bdf_scheme, run, step_count
-from chdbc.mesh import generate_disk_mesh, import_mesh, mesh_size
+from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import (
     ProblemSpec,
     evolution_problem,
@@ -23,10 +22,9 @@ from chdbc.problems import (
 )
 from chdbc.saddle import build_step_matrix, nested_dissection_order
 from oracles import (UNIT_SQUARE, brute_force_mass, brute_force_stiffness,
-                     oracle_delta, oracle_gamma)
+                     oracle_delta, oracle_gamma, seeded_temporal_eocs)
 
-SWEEP_TAU = 0.0025
-SWEEP_REFINEMENTS = (1, 2, 3, 4, 5)
+SWEEP_TAU = 0.0025  # the last of the default step sizes
 
 
 def _report(num, label, ok, detail):
@@ -34,56 +32,63 @@ def _report(num, label, ok, detail):
     assert ok, f"criterion {num} {label}: {detail}"
 
 
-def _sweep(problem):
-    reports = []
-    for i in SWEEP_REFINEMENTS:
-        mesh = generate_disk_mesh(2 ** i * 10, 1.0)
-        traj = run(problem, mesh, SWEEP_TAU, 1.0, bdf_scheme(3),
-                   start_mode="exact")
-        reports.append((mesh_size(mesh), analysis.final_error(
-            problem, mesh, traj.times[-1], traj.u_final, traj.w_final)))
-    return reports
+def _default_table(problem, tmp_path_factory):
+    """The rows of `chdbc convergence --problem <problem>` as it ships (four
+    step sizes, refinements 1..5), and the seconds the command took."""
+    out = tmp_path_factory.mktemp(problem) / "table.csv"
+    start = time.time()
+    rc = cli_main(["convergence", "--problem", problem, "--out", str(out)])
+    elapsed = time.time() - start
+    assert rc == 0
+    with open(out) as fh:
+        header, *rows = (line.split(",") for line in fh.read().splitlines())
+    return [dict(zip(header, row)) for row in rows], elapsed
 
 
 @pytest.fixture(scope="module")
-def linear_sweep():
-    start = time.time()
-    reports = _sweep(manufactured_linear())
-    return reports, time.time() - start
+def linear_table(tmp_path_factory):
+    return _default_table("linear", tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
-def nonlinear_sweep():
-    start = time.time()
-    reports = _sweep(manufactured_nonlinear())
-    return reports, time.time() - start
+def nonlinear_table(tmp_path_factory):
+    return _default_table("nonlinear", tmp_path_factory)
 
 
-def _last_pair_eoc(reports, attr):
-    hs = [h for h, _ in reports]
-    errs = [getattr(r, attr) for _, r in reports]
-    return analysis.eoc(errs, hs)[-1]
+def _tau_block(rows, column):
+    """`column` and h of the tau = 0.0025 rows, refinements 1..5 in order."""
+    block = [r for r in rows if float(r["tau"]) == SWEEP_TAU]
+    assert [r["i"] for r in block] == ["1", "2", "3", "4", "5"]
+    return [float(r[column]) for r in block], [float(r["h"]) for r in block]
 
 
-def test_criterion_1_spatial_order_linear(linear_sweep):
-    reports, elapsed = linear_sweep
-    order = _last_pair_eoc(reports, "err_L2")
-    ok = 1.7 <= order <= 2.3 and elapsed <= 120.0
-    _report(1, "spatial order, linear L2", ok,
-            f"EOC={order:.3f} in [1.7, 2.3], sweep took {elapsed:.1f}s <= 120s")
+def _criterion_spatial(num, label, table, limit):
+    rows, elapsed = table
+    errs, hs = _tau_block(rows, "err_L2")
+    order = analysis.eoc(errs, hs)[-1]
+    # refinements 2..5 as one pair
+    overall = analysis.eoc([errs[1], errs[-1]], [hs[1], hs[-1]])[0]
+    falls = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+    shape = len(rows) == 4 * 5 and float(rows[-1]["tau"]) == SWEEP_TAU
+    ok = (shape and 1.7 <= order <= 2.3 and 1.7 <= overall <= 2.3 and falls
+          and elapsed <= limit)
+    _report(num, label, ok,
+            f"EOC={order:.3f}, refinements 2..5 {overall:.3f}, both in "
+            f"[1.7, 2.3]; err_L2 falls at every refinement: {falls}; "
+            f"{len(rows)} rows; the CLI run took {elapsed:.1f}s <= {limit:.0f}s")
 
 
-def test_criterion_2_spatial_order_nonlinear(nonlinear_sweep):
-    reports, elapsed = nonlinear_sweep
-    order = _last_pair_eoc(reports, "err_L2")
-    ok = 1.7 <= order <= 2.3 and elapsed <= 180.0
-    _report(2, "spatial order, nonlinear L2", ok,
-            f"EOC={order:.3f} in [1.7, 2.3], sweep took {elapsed:.1f}s <= 180s")
+def test_criterion_1_spatial_order_linear(linear_table):
+    _criterion_spatial(1, "spatial order, linear L2", linear_table, 120.0)
 
 
-def test_criterion_3_h1_orders(linear_sweep, nonlinear_sweep):
-    o_lin = _last_pair_eoc(linear_sweep[0], "err_H1")
-    o_non = _last_pair_eoc(nonlinear_sweep[0], "err_H1")
+def test_criterion_2_spatial_order_nonlinear(nonlinear_table):
+    _criterion_spatial(2, "spatial order, nonlinear L2", nonlinear_table, 180.0)
+
+
+def test_criterion_3_h1_orders(linear_table, nonlinear_table):
+    o_lin = analysis.eoc(*_tau_block(linear_table[0], "err_H1"))[-1]
+    o_non = analysis.eoc(*_tau_block(nonlinear_table[0], "err_H1"))[-1]
     ok = o_lin >= 0.9 and o_non >= 0.9
     _report(3, "H1 order >= 0.9 (observed reported)", ok,
             f"linear EOC={o_lin:.3f}, nonlinear EOC={o_non:.3f}")
@@ -92,29 +97,10 @@ def test_criterion_3_h1_orders(linear_sweep, nonlinear_sweep):
 def _criterion_4(problem, label):
     """BDF3 temporal L2 EOCs at t = 1 on 80 nodes, tau = 0.02 -> 0.005."""
     start = time.time()
-    mesh = generate_disk_mesh(80, 1.0)
-    M = assembly.assemble_mass(mesh)
-    scheme = bdf_scheme(3)
-    tau_ref = 0.00125
-    ref_stepper = Stepper(problem, mesh, tau_ref, scheme)
-    ref = [(u, w) for _, _, u, w in ref_stepper.stream(
-        step_count(tau_ref, 1.0, scheme.k), ref_stepper.starts("exact"))]
-    # seed the coarse runs from the reference past its start transient; the
-    # offset is a common multiple of every step size involved
-    t_off = 0.04
-    i0 = round(t_off / tau_ref)
-    taus = [0.02, 0.01, 0.005]
-    errs = []
-    for tau in taus:
-        stride = round(tau / tau_ref)
-        starts = [ref[i0 + j * stride] for j in range(scheme.k)]
-        stepper = Stepper(problem, mesh, tau, scheme, t_off)
-        n_steps = step_count(tau, 1.0 - t_off, scheme.k)
-        for _, _, u, _ in stepper.stream(n_steps, starts):
-            pass  # u ends as the level at t = 1
-        errs.append(analysis.l2_norm(M, u - ref[-1][0]))
-    orders = [math.log(errs[i] / errs[i + 1]) / math.log(taus[i] / taus[i + 1])
-              for i in range(len(errs) - 1)]
+    # the coarse runs start from a tau = 0.00125 reference past its start
+    # transient; t = 0.04 is a common multiple of every step size involved
+    orders = seeded_temporal_eocs(problem, generate_disk_mesh(80, 1.0), 3,
+                                  0.00125, 0.04, [0.02, 0.01, 0.005])
     elapsed = time.time() - start
     ok = all(2.6 <= o <= 3.4 for o in orders) and elapsed <= 60.0
     _report(4, label, ok,

@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chdbc import analysis, assembly
+from chdbc import assembly
 from chdbc.analysis import eoc, final_error, h1_norm, l2_norm
 from chdbc.integrator import Stepper, bdf_scheme, run
-from chdbc.mesh import (generate_disk_mesh, import_mesh, mesh_size, segment_lengths,
-                        signed_areas)
+from chdbc.mesh import generate_disk_mesh, import_mesh, segment_lengths, signed_areas
 from chdbc.problems import evolution_problem, manufactured_linear
 from oracles import UNIT_TRIANGLE
 
@@ -182,23 +181,6 @@ def test_final_error_sane_for_real_run():
         assert math.isfinite(value)
         assert 0.0 < value < 1.0
     assert report.err_L2 <= report.err_H1
-
-
-@pytest.mark.parametrize("factory", [manufactured_linear, "nonlinear"])
-def test_l2_eoc_over_refinements_2_to_5(factory):
-    from chdbc.problems import manufactured_nonlinear
-
-    problem = manufactured_nonlinear() if factory == "nonlinear" else factory()
-    errs, hs = [], []
-    for i in (2, 3, 4, 5):
-        mesh = generate_disk_mesh(2 ** i * 10, 1.0)
-        traj = run(problem, mesh, 0.0025, 1.0, bdf_scheme(3))
-        report = final_error(problem, mesh, traj.times[-1], traj.u_final, traj.w_final)
-        errs.append(report.err_L2)
-        hs.append(mesh_size(mesh))
-    # aggregate order across the whole refinement range
-    order = math.log(errs[0] / errs[-1]) / math.log(hs[0] / hs[-1])
-    assert 1.7 <= order <= 2.3
 
 
 def test_gl_energy_nonincreasing_along_resolved_evolution_run():

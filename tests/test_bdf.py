@@ -4,19 +4,6 @@ import numpy as np
 import pytest
 
 from chdbc.integrator import bdf_scheme
-from oracles import oracle_delta, oracle_gamma
-
-
-@pytest.mark.parametrize("k", range(1, 6))
-def test_delta_matches_expansion_oracle_exactly(k):
-    got = bdf_scheme(k).delta
-    assert list(got) == oracle_delta(k)
-
-
-@pytest.mark.parametrize("k", range(1, 6))
-def test_gamma_matches_expansion_oracle_exactly(k):
-    got = bdf_scheme(k).gamma
-    assert list(got) == oracle_gamma(k)
 
 
 def test_known_small_orders():

@@ -375,19 +375,6 @@ def test_removed_settings_are_unknown_flags(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("problem", ["linear", "nonlinear"])
-def test_convergence_default_sweep_reproduces_quadratic_order(tmp_path, problem):
-    out = tmp_path / "full.csv"
-    rc = main(["convergence", "--problem", problem, "--out", str(out)])
-    assert rc == 0
-    lines = read(out).decode().splitlines()
-    assert len(lines) == 1 + 4 * 5  # four default step sizes, five refinements
-    # last row of the smallest tau block: EOC between the two finest meshes
-    last = lines[-1].split(",")
-    assert float(last[3]) == 0.0025
-    assert 1.7 <= float(last[6]) <= 2.3
-
-
 def test_runtime_failure_returns_one_and_removes_partial_csv(tmp_path, capsys):
     # k=3 extrapolation blows up at these parameters -> runtime error
     out = tmp_path / "evo"

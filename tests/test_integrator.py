@@ -15,7 +15,7 @@ from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import (MANUFACTURED, ProblemSpec, evolution_problem,
                             manufactured_linear, manufactured_nonlinear, zero_field)
 from chdbc.saddle import build_step_matrix, nested_dissection_order
-from oracles import scalar_step_matrix
+from oracles import scalar_step_matrix, seeded_temporal_eocs
 
 MESH_WITH_CENTER_NODE = """\
 MESH v1
@@ -219,18 +219,6 @@ def test_zero_problem_yields_zero_trajectory():
     np.testing.assert_allclose(np.diff(traj.times), 0.01, rtol=1e-12)
 
 
-def test_refinement_monotonicity_at_final_time():
-    problem = manufactured_linear()
-    scheme = bdf_scheme(3)
-    errs = {}
-    for i in (2, 3):
-        mesh = generate_disk_mesh(2 ** i * 10, 1.0)
-        traj = run(problem, mesh, 0.0025, 1.0, scheme)
-        errs[i] = analysis.final_error(problem, mesh, traj.times[-1], traj.u_final,
-                                       traj.w_final).err_L2
-    assert errs[3] < errs[2]
-
-
 def test_mass_is_conserved_without_u_forcing():
     # first block row gives sum_j delta_j (1^T M u^{n-j}) = -tau 1^T A w = 0
     problem = evolution_problem(seed=3)
@@ -326,29 +314,9 @@ def test_bdf3_difference_quotient_truncation():
 
 @pytest.mark.parametrize("k,window", [(1, (0.85, 1.35)), (2, (1.7, 2.3))])
 def test_temporal_self_convergence_orders(k, window):
-    problem = manufactured_linear()
-    mesh = generate_disk_mesh(40, 1.0)
-    M = assembly.assemble_mass(mesh)
-    scheme = bdf_scheme(k)
-    tau_ref = 0.0025
-    ref_stepper = Stepper(problem, mesh, tau_ref, scheme)
-    ref = [(u, w) for _, _, u, w in ref_stepper.stream(
-        step_count(tau_ref, 1.0, k), ref_stepper.starts("exact"))]
-    t_off = 0.08
-    i0 = round(t_off / tau_ref)
-    taus = [0.04, 0.02, 0.01]
-    errs = []
-    for tau in taus:
-        stride = round(tau / tau_ref)
-        starts = [ref[i0 + j * stride] for j in range(k)]
-        stepper = Stepper(problem, mesh, tau, scheme, t_off)
-        n_steps = step_count(tau, 1.0 - t_off, scheme.k)
-        for _, _, u, _ in stepper.stream(n_steps, starts):
-            pass  # u ends as the level at t = 1
-        errs.append(analysis.l2_norm(M, u - ref[-1][0]))
-    for e1, e2, t1, t2 in zip(errs, errs[1:], taus, taus[1:]):
-        order = math.log(e1 / e2) / math.log(t1 / t2)
-        assert window[0] <= order <= window[1]
+    orders = seeded_temporal_eocs(manufactured_linear(), generate_disk_mesh(40, 1.0),
+                                  k, 0.0025, 0.08, [0.04, 0.02, 0.01])
+    assert all(window[0] <= order <= window[1] for order in orders), orders
 
 
 def test_run_rejects_non_dividing_tau():
