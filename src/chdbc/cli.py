@@ -238,6 +238,7 @@ def cmd_evolve(args, parser) -> int:
                        args.tau, args.T, args.k)
     snap_steps, snap_names = {}, {}
     for t in args.snapshots:
+        t += 0.0  # -0.0 becomes 0.0: one time, one step and one name
         idx = _on_grid(parser, "--snapshots", integrator.step_index, t, args.tau)
         if not 0 <= idx <= n_steps:
             parser.error(f"--snapshots: time {t} lies outside [0, {args.T}]")

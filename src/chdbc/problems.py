@@ -5,12 +5,12 @@ unit disk. Since xy is harmonic, the bulk forcings are immediate; on the
 unit circle xy restricts to (1/2) sin 2(theta), whose surface Laplacian is
 -4xy, and the radial derivative of xy is 2xy, which fixes the surface
 forcings. The hard-coded formulas are guarded by the finite-difference
-residual oracle `verify_manufactured`.
+residual oracle in tests/oracles.py.
 
 Fields and nonlinearities are called on whole node arrays, so they must be
 written with NumPy operations; a constant result is broadcast. A forcing is
 called once per block of time steps, on x[:, None], y[:, None] and
-t[None, :], so it must vectorize over t too; `verify_manufactured` calls the
+t[None, :], so it must vectorize over t too; the residual oracle calls the
 exact solutions that way as well. The solver gives u0 and the exact
 solutions a scalar t.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -152,63 +152,3 @@ def evolution_problem(strength: float = 10.0, seed: int = 0) -> ProblemSpec:
         potential=lambda u: s * (u * u - 1.0) ** 2,
     )
 
-
-# 4th-order central difference stencils. Plain second-order differences at
-# spacing ~1e-5 bottom out near 1e-6 absolute (roundoff ~ 4 eps |f| / d^2),
-# far above the 1e-8 residual budget; the wider stencil at d = 1e-3 reaches
-# ~1e-10.
-def _d1(g, d):
-    return (-g(2 * d) + 8 * g(d) - 8 * g(-d) + g(-2 * d)) / (12 * d)
-
-
-def _d2(g, d):
-    return (-g(2 * d) + 16 * g(d) - 30 * g(0.0) + 16 * g(-d) - g(-2 * d)) / (
-        12 * d * d
-    )
-
-
-def verify_manufactured(spec: ProblemSpec, sample_points: Sequence,
-                        times: Sequence[float]) -> float:
-    """Max absolute strong-form residual of the stated exact solution.
-
-    Evaluates both equations at every sample point and time at once: the
-    bulk equations at points strictly inside the unit disk, the surface
-    equations (circle-parametrized tangential derivatives, radial normal
-    derivatives) at points on the unit circle. All derivatives are central
-    finite differences of step 1e-3. Returns the worst residual (0.0 for no
-    points); a correct forcing derivation stays below 1e-8, a sign error
-    shows up at order one.
-    """
-    if not spec.has_exact_solution:
-        raise ValueError("verify_manufactured needs exact_u and exact_w")
-    u, w, F = spec.exact_u, spec.exact_w, spec.nonlinearity
-    d = 1e-3  # the stencil spacing; see the note above _d1
-    p = np.asarray(sample_points, dtype=float).reshape(-1, 2)
-    x, y, t = p[:, :1], p[:, 1:], np.asarray(times, dtype=float)[None, :]
-    r = np.hypot(x, y)
-    on_circle = np.abs(r - 1.0) <= 1e-9
-    outside = ~on_circle & (r >= 1.0)
-    if outside.any():
-        px, py = p[np.argmax(outside)]
-        raise ValueError(
-            f"sample point ({px}, {py}) is neither inside the disk "
-            f"nor on the circle"
-        )
-    theta = np.arctan2(y, x)
-
-    def laplacian(g):
-        """Delta g inside the disk, Delta_Gamma g - d_nu g on the circle."""
-        bulk = (_d2(lambda s: g(x + s, y, t), d)
-                + _d2(lambda s: g(x, y + s, t), d))
-        surf = (_d2(lambda s: g(np.cos(theta + s), np.sin(theta + s), t), d)
-                - _d1(lambda s: g((1 + s) * x, (1 + s) * y, t), d))
-        return np.where(on_circle, surf, bulk)
-
-    def forcing(bulk, surf):
-        return np.where(on_circle, surf(x, y, t), bulk(x, y, t))
-
-    r1 = (_d1(lambda s: u(x, y, t + s), d) - laplacian(w)
-          - forcing(spec.f1_bulk, spec.f1_surf))
-    r2 = (w(x, y, t) + laplacian(u)
-          - forcing(spec.f2_bulk, spec.f2_surf) - F(u(x, y, t)))
-    return float(np.abs(np.broadcast_arrays(r1, r2)).max(initial=0.0))

@@ -1,7 +1,8 @@
-"""Test references, one copy each: fixture meshes, independent oracles and
-the seeded temporal-order measurement.
+"""Test references, one copy each: fixture meshes, independent oracles, the
+seeded temporal-order measurement and the manufactured-residual check.
 
-The brute-force P1 assembly and the BDF coefficient expansions are derived
+The brute-force P1 assembly, the BDF coefficient expansions and the
+finite-difference residual of a manufactured solution are derived
 differently from `chdbc` on purpose, so a test that compares against them
 checks the package, not a copy of it. The suite's tests import from here;
 this module defines no tests.
@@ -9,12 +10,14 @@ this module defines no tests.
 
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from chdbc import analysis, assembly
 from chdbc.integrator import Stepper, bdf_scheme, step_count
+from chdbc.problems import ProblemSpec
 from chdbc.saddle import build_step_matrix
 
 UNIT_TRIANGLE = """\
@@ -144,3 +147,77 @@ def seeded_temporal_eocs(problem, mesh, k, tau_ref, t_off, taus):
             pass  # u ends as the level at t = 1
         errs.append(analysis.l2_norm(M, u - ref[-1][0]))
     return analysis.eoc(errs, taus)
+
+
+# --- strong-form residual of a manufactured solution, by finite differences
+
+def disk_points(inside, on_circle, seed):
+    """`inside` points in the disk of radius 0.95, then `on_circle` points on
+    the unit circle, drawn in that order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    r = 0.95 * np.sqrt(rng.random(inside))
+    th = 2 * np.pi * rng.random(inside)
+    th2 = 2 * np.pi * rng.random(on_circle)
+    return (list(zip(r * np.cos(th), r * np.sin(th)))
+            + list(zip(np.cos(th2), np.sin(th2))))
+
+
+# 4th-order central difference stencils. Plain second-order differences at
+# spacing ~1e-5 bottom out near 1e-6 absolute (roundoff ~ 4 eps |f| / d^2),
+# far above the 1e-8 residual budget; the wider stencil at d = 1e-3 reaches
+# ~1e-10.
+def _d1(g, d):
+    return (-g(2 * d) + 8 * g(d) - 8 * g(-d) + g(-2 * d)) / (12 * d)
+
+
+def _d2(g, d):
+    return (-g(2 * d) + 16 * g(d) - 30 * g(0.0) + 16 * g(-d) - g(-2 * d)) / (
+        12 * d * d
+    )
+
+
+def verify_manufactured(spec: ProblemSpec, sample_points: Sequence,
+                        times: Sequence[float]) -> float:
+    """Max absolute strong-form residual of the stated exact solution.
+
+    Evaluates both equations at every sample point and time at once: the
+    bulk equations at points strictly inside the unit disk, the surface
+    equations (circle-parametrized tangential derivatives, radial normal
+    derivatives) at points on the unit circle. All derivatives are central
+    finite differences of step 1e-3. Returns the worst residual (0.0 for no
+    points); a correct forcing derivation stays below 1e-8, a sign error
+    shows up at order one.
+    """
+    if not spec.has_exact_solution:
+        raise ValueError("verify_manufactured needs exact_u and exact_w")
+    u, w, F = spec.exact_u, spec.exact_w, spec.nonlinearity
+    d = 1e-3  # the stencil spacing; see the note above _d1
+    p = np.asarray(sample_points, dtype=float).reshape(-1, 2)
+    x, y, t = p[:, :1], p[:, 1:], np.asarray(times, dtype=float)[None, :]
+    r = np.hypot(x, y)
+    on_circle = np.abs(r - 1.0) <= 1e-9
+    outside = ~on_circle & (r >= 1.0)
+    if outside.any():
+        px, py = p[np.argmax(outside)]
+        raise ValueError(
+            f"sample point ({px}, {py}) is neither inside the disk "
+            f"nor on the circle"
+        )
+    theta = np.arctan2(y, x)
+
+    def laplacian(g):
+        """Delta g inside the disk, Delta_Gamma g - d_nu g on the circle."""
+        bulk = (_d2(lambda s: g(x + s, y, t), d)
+                + _d2(lambda s: g(x, y + s, t), d))
+        surf = (_d2(lambda s: g(np.cos(theta + s), np.sin(theta + s), t), d)
+                - _d1(lambda s: g((1 + s) * x, (1 + s) * y, t), d))
+        return np.where(on_circle, surf, bulk)
+
+    def forcing(bulk, surf):
+        return np.where(on_circle, surf(x, y, t), bulk(x, y, t))
+
+    r1 = (_d1(lambda s: u(x, y, t + s), d) - laplacian(w)
+          - forcing(spec.f1_bulk, spec.f1_surf))
+    r2 = (w(x, y, t) + laplacian(u)
+          - forcing(spec.f2_bulk, spec.f2_surf) - F(u(x, y, t)))
+    return float(np.abs(np.broadcast_arrays(r1, r2)).max(initial=0.0))

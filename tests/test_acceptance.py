@@ -18,11 +18,11 @@ from chdbc.problems import (
     evolution_problem,
     manufactured_linear,
     manufactured_nonlinear,
-    verify_manufactured,
 )
 from chdbc.saddle import build_step_matrix, nested_dissection_order
 from oracles import (UNIT_SQUARE, brute_force_mass, brute_force_stiffness,
-                     oracle_delta, oracle_gamma, seeded_temporal_eocs)
+                     disk_points, oracle_delta, oracle_gamma,
+                     seeded_temporal_eocs, verify_manufactured)
 
 SWEEP_TAU = 0.0025  # the last of the default step sizes
 
@@ -205,15 +205,9 @@ def test_criterion_8_coefficient_exactness():
 
 
 def test_criterion_9_manufactured_residuals():
-    rng = np.random.default_rng(0)
-    r = 0.95 * np.sqrt(rng.random(20))
-    th = 2 * np.pi * rng.random(20)
-    interior = list(zip(r * np.cos(th), r * np.sin(th)))
-    th2 = 2 * np.pi * rng.random(20)
-    circle = list(zip(np.cos(th2), np.sin(th2)))
-    times = (0.0, 0.5, 1.0)
-    res_lin = verify_manufactured(manufactured_linear(), interior + circle, times)
-    res_non = verify_manufactured(manufactured_nonlinear(), interior + circle, times)
+    points, times = disk_points(20, 20, seed=0), (0.0, 0.5, 1.0)
+    res_lin = verify_manufactured(manufactured_linear(), points, times)
+    res_non = verify_manufactured(manufactured_nonlinear(), points, times)
     ok = res_lin <= 1e-8 and res_non <= 1e-8
     _report(9, "manufactured forcing residuals", ok,
             f"linear {res_lin:.2e}, nonlinear {res_non:.2e} <= 1e-8")

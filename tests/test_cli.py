@@ -244,7 +244,8 @@ def test_evolve_refuses_two_snapshot_steps_that_name_one_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("times, name", [("0,0", "0"),
-                                         ("0.005,0.0050000000000001", "0.005")])
+                                         ("0.005,0.0050000000000001", "0.005"),
+                                         ("0,-0", "0"), ("-0", "0")])
 def test_evolve_writes_one_file_for_times_that_share_a_step_and_name(
         tmp_path, times, name):
     out = tmp_path / "evo"

@@ -13,23 +13,12 @@ from chdbc import analysis, assembly, integrator
 from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run, step_count
 from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import (MANUFACTURED, ProblemSpec, evolution_problem,
-                            manufactured_linear, manufactured_nonlinear, zero_field)
+                            manufactured_linear, manufactured_nonlinear,
+                            zero_field, zero_map)
 from chdbc.saddle import build_step_matrix, nested_dissection_order
-from oracles import scalar_step_matrix, seeded_temporal_eocs
+from oracles import UNIT_TRIANGLE, scalar_step_matrix, seeded_temporal_eocs
 
-MESH_WITH_CENTER_NODE = """\
-MESH v1
-NODES 3
-0.0 0.0
-1.0 0.0
-0.5 0.5
-TRIANGLES 1
-0 1 2
-BOUNDARY_EDGES 3
-0 1
-1 2
-2 0
-"""
+MESH_WITH_CENTER_NODE = UNIT_TRIANGLE.replace("0.0 1.0", "0.5 0.5")
 
 LINEAR = ProblemSpec()
 
@@ -281,18 +270,28 @@ def test_evolution_conserves_mass_and_solves_each_step(nodes, strength, share,
 
 
 def test_energy_seminorm_decays_for_backward_euler():
-    # linear homogeneous run: (1/2) u^T A u is nonincreasing step by step
-    mesh = generate_disk_mesh(80, 1.0)
-    u0 = evolution_problem(seed=11).u0
-    problem = ProblemSpec(u0=u0)
-    stepper = Stepper(problem, mesh, 0.005, bdf_scheme(1))
-    levels = stepper.stream(step_count(0.005, 200 * 0.005, 1),
-                            stepper.starts("bootstrap"))
-    A = assembly.assemble_stiffness(mesh)
-    e = [0.5 * float(u @ (A @ u)) for _, _, u, _ in levels]
-    diffs = np.diff(e)
-    assert (diffs <= 1e-12).all()
-    assert e[-1] < e[0]
+    # BDF1's block rows, tested with w^n and d = u^n - u^(n-1), give per step
+    #   E^n - E^(n-1) = -tau |w^n|_A^2 - (1/2) |d|_A^2 + R^n,
+    #   R^n = 1^T M [W(u^n) - W(u^(n-1))] - d^T M F(u^(n-1)).
+    # Linear and homogeneous, R = 0 and E = (1/2) u^T A u is nonincreasing
+    # step by step. The double well on evolve's radius-10 disk checks the
+    # identity with its R^n, which raises E in most of its steps.
+    tau = 0.005
+    linear = ProblemSpec(u0=evolution_problem(seed=11).u0, potential=zero_map)
+    for problem, radius in ((linear, 1.0), (evolution_problem(seed=11), 10.0)):
+        stepper = Stepper(problem, generate_disk_mesh(80, radius), tau, bdf_scheme(1))
+        levels = [(u, w) for _, _, u, w in stepper.stream(
+            step_count(tau, 200 * tau, 1), stepper.starts("bootstrap"))]
+        e = [stepper.energy(u) for u, _ in levels]
+        A, M, W, F = stepper.A, stepper.M, problem.potential, problem.nonlinearity
+        gap = [e1 - e0 + tau * (w @ (A @ w)) + 0.5 * ((u - v) @ (A @ (u - v)))
+               - stepper.weights @ (W(u) - W(v)) + (u - v) @ (M @ F(v))
+               for (v, _), (u, w), e0, e1 in zip(levels, levels[1:], e, e[1:])]
+        assert np.abs(gap).max() <= 1e-12 * np.abs(e).max()
+        if problem is linear:
+            diffs = np.diff(e)
+            assert (diffs <= 1e-12).all()
+            assert e[-1] < e[0]
 
 
 def test_bdf3_difference_quotient_truncation():

@@ -157,19 +157,7 @@ def test_import_error_carries_line_numbers():
 
 
 def test_import_rejects_open_boundary_cycle():
-    open_cycle = """\
-MESH v1
-NODES 3
-0.0 0.0
-1.0 0.0
-0.0 1.0
-TRIANGLES 1
-0 1 2
-BOUNDARY_EDGES 3
-0 1
-2 1
-2 0
-"""
+    open_cycle = UNIT_TRIANGLE.replace("\n1 2\n", "\n2 1\n")
     with pytest.raises(MeshFormatError):
         import_mesh(open_cycle)
 

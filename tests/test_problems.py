@@ -14,22 +14,9 @@ from chdbc.problems import (
     evolution_problem,
     manufactured_linear,
     manufactured_nonlinear,
-    verify_manufactured,
     zero_map,
 )
-
-
-def interior_points(count, seed=0):
-    rng = np.random.default_rng(seed)
-    r = 0.95 * np.sqrt(rng.random(count))
-    th = 2 * np.pi * rng.random(count)
-    return list(zip(r * np.cos(th), r * np.sin(th)))
-
-
-def circle_points(count, seed=1):
-    rng = np.random.default_rng(seed)
-    th = 2 * np.pi * rng.random(count)
-    return list(zip(np.cos(th), np.sin(th)))
+from oracles import disk_points, verify_manufactured
 
 
 def test_linear_forcings_at_reference_points():
@@ -43,7 +30,7 @@ def test_linear_forcings_at_reference_points():
 
 def test_linear_surface_forcings_are_minus_five_times_bulk():
     p = manufactured_linear()
-    for x, y in circle_points(15, seed=4):
+    for x, y in disk_points(0, 15, seed=4):
         for t in (0.0, 0.5, 1.0):
             assert p.f1_surf(x, y, t) == pytest.approx(-5.0 * p.f1_bulk(x, y, t),
                                                        rel=1e-13)
@@ -58,48 +45,16 @@ def test_nonlinear_double_well_roots_and_forcing():
     assert p.f2_bulk(0.5, 0.5, 0.0) == pytest.approx(0.484375, rel=1e-15)
     # f1 forcings are unchanged by the nonlinearity
     lin = manufactured_linear()
-    for x, y in interior_points(5):
+    for x, y in disk_points(5, 0, seed=0):
         assert p.f1_bulk(x, y, 0.3) == lin.f1_bulk(x, y, 0.3)
 
 
 def test_fields_finite_on_disk():
     for p in (manufactured_linear(), manufactured_nonlinear()):
-        for x, y in interior_points(30, seed=9) + circle_points(10, seed=9):
+        for x, y in disk_points(30, 0, seed=9) + disk_points(0, 10, seed=9):
             for t in (0.0, 1.5, 3.0):
                 for f in (p.f1_bulk, p.f2_bulk, p.f1_surf, p.f2_surf):
                     assert math.isfinite(float(f(x, y, t)))
-
-
-def test_residual_oracle_accepts_both_manufactured_problems():
-    pts = interior_points(20) + circle_points(20)
-    times = (0.0, 0.5, 1.0)
-    assert verify_manufactured(manufactured_linear(), pts, times) <= 1e-8
-    assert verify_manufactured(manufactured_nonlinear(), pts, times) <= 1e-8
-
-
-def test_residual_oracle_catches_sign_error():
-    good = manufactured_linear()
-    bad = ProblemSpec(
-        f1_bulk=lambda x, y, t: -good.f1_bulk(x, y, t),
-        f2_bulk=good.f2_bulk,
-        f1_surf=good.f1_surf,
-        f2_surf=good.f2_surf,
-        u0=good.u0,
-        exact_u=good.exact_u,
-        exact_w=good.exact_w,
-    )
-    pts = [(0.5, 0.5), (-0.6, 0.4), (0.3, -0.7)]
-    assert verify_manufactured(bad, pts, (0.0,)) >= 0.1
-
-
-def criterion_9_points():
-    """Acceptance criterion 9's sample points: 20 inside the disk, 20 on the circle."""
-    rng = np.random.default_rng(0)
-    r = 0.95 * np.sqrt(rng.random(20))
-    th = 2 * np.pi * rng.random(20)
-    th2 = 2 * np.pi * rng.random(20)
-    return (list(zip(r * np.cos(th), r * np.sin(th)))
-            + list(zip(np.cos(th2), np.sin(th2))))
 
 
 @pytest.mark.parametrize("term", ["f1_bulk", "f2_bulk", "f1_surf", "f2_surf",
@@ -112,8 +67,8 @@ def test_residual_oracle_catches_each_wrong_term(term):
     else:
         f = getattr(good, term)
         bad = dataclasses.replace(good, **{term: lambda x, y, t: -f(x, y, t)})
-    assert verify_manufactured(good, criterion_9_points(), (0.0, 0.5, 1.0)) <= 1e-8
-    assert verify_manufactured(bad, criterion_9_points(), (0.0, 0.5, 1.0)) >= 0.1
+    assert verify_manufactured(good, disk_points(20, 20, seed=0), (0.0, 0.5, 1.0)) <= 1e-8
+    assert verify_manufactured(bad, disk_points(20, 20, seed=0), (0.0, 0.5, 1.0)) >= 0.1
 
 
 def test_residual_oracle_of_no_points_is_zero():
