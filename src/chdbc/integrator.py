@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assembly
 from .mesh import Mesh2D
-from .problems import ProblemSpec, zero_field
+from .problems import ProblemSpec, zero_field, zero_map
 from .saddle import StepMatrix, build_step_matrix, nested_dissection_order
 
 MAX_ORDER = 5
@@ -115,7 +115,7 @@ def bdf_step(problem: ProblemSpec, scheme: BDFScheme, K: StepMatrix, M,
     k = scheme.k
     if len(recent) != k:
         raise ValueError(f"history must hold exactly {k} vectors, got {len(recent)}")
-    if problem.kind == "nonlinear":
+    if problem.nonlinearity is not zero_map:
         extrapolant = sum((g * u for g, u in zip(scheme.gamma[1:], recent[1:])),
                           scheme.gamma[0] * recent[0])
         b2 = b2 + assembly.nonlinearity_vector(M, problem.nonlinearity, extrapolant)
@@ -147,18 +147,21 @@ class Stepper:
                  scheme: BDFScheme, t_start: float = 0.0):
         self.problem, self.mesh, self.tau, self.scheme = problem, mesh, tau, scheme
         self.t_start = t_start
-        self.M = assembly.assemble_mass(mesh)
-        self.A = assembly.assemble_stiffness(mesh)
-        # 1^T M: mass and the potential part of the energy integrate against it
-        self.weights = np.asarray(self.M.sum(axis=0)).ravel()
-        self.order = nested_dissection_order(mesh.nodes, self.M)
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))
-        # M's (bulk, surface) parts, which only the loads read: None unforced
+        # M's (bulk, surface) parts, which only the loads read: None unforced.
+        # A forced M is their sum, the very expression assemble_mass returns.
         self.M_bulk = self.M_surf = None
         if any(f is not zero_field for pair in self._forcings for f in pair):
             self.M_bulk = assembly.assemble_bulk_mass(mesh)
             self.M_surf = assembly.assemble_surface_mass(mesh)
+            self.M = self.M_bulk + self.M_surf
+        else:
+            self.M = assembly.assemble_mass(mesh)
+        self.A = assembly.assemble_stiffness(mesh)
+        # 1^T M: mass and the potential part of the energy integrate against it
+        self.weights = np.asarray(self.M.sum(axis=0)).ravel()
+        self.order = nested_dissection_order(mesh.nodes, self.M)
 
     def loads(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The loads (b1, b2) at the S given times, each of shape (N, S).
@@ -281,7 +284,7 @@ class Stepper:
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
-        scheme: BDFScheme, start_mode: str = "auto",
+        scheme: BDFScheme, start_mode: str,
         keep: Iterable[int] = ()) -> Trajectory:
     """Advance the problem from t = 0 to T, streaming its diagnostics.
 
@@ -289,9 +292,9 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
     potential) energy to the trajectory and is then dropped, unless its step
     index is in `keep`: those u are kept as snapshots. An index outside
     [0, n_steps] is a ValueError, raised before anything is assembled.
-    start_mode 'auto' picks 'exact' when the problem has an exact solution
-    and 'bootstrap' otherwise. A run seeded with other starting values, or
-    from a later time, is `Stepper(..., t_start).stream` with those values.
+    start_mode is 'exact' or 'bootstrap' (`Stepper.starts`). A run seeded
+    with other starting values, or from a later time, is
+    `Stepper(..., t_start).stream` with those values.
     """
     n_steps = step_count(tau, T, scheme.k)
     keep = set(keep)
@@ -299,8 +302,6 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
         if n not in range(n_steps + 1):
             raise ValueError(f"cannot keep step {n!r}: the run has steps 0..{n_steps}")
     stepper = Stepper(problem, mesh, tau, scheme)
-    if start_mode == "auto":
-        start_mode = "exact" if problem.has_exact_solution else "bootstrap"
 
     times, mass = np.empty(n_steps + 1), np.empty(n_steps + 1)
     energy = None if problem.potential is None else np.empty(n_steps + 1)

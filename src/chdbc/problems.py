@@ -59,10 +59,6 @@ class ProblemSpec:
     potential: Optional[ScalarMap] = None
 
     @property
-    def kind(self) -> str:
-        return "linear" if self.nonlinearity is zero_map else "nonlinear"
-
-    @property
     def has_exact_solution(self) -> bool:
         return self.exact_u is not None and self.exact_w is not None
 

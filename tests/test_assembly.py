@@ -30,11 +30,6 @@ def tri():
     return import_mesh(UNIT_TRIANGLE)
 
 
-@pytest.fixture(scope="module")
-def square():
-    return import_mesh(UNIT_SQUARE)
-
-
 def test_single_triangle_bulk_mass(tri):
     M = assemble_bulk_mass(tri).toarray()
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
@@ -127,28 +122,6 @@ def test_perturbed_disk_keeps_the_constant_identities(target, radius, seed, amou
     assert total == pytest.approx(polygon_area + perimeter, rel=1e-12)
     assert total == pytest.approx(
         signed_areas(moved).sum() + segment_lengths(moved).sum(), rel=1e-12)
-
-
-def test_square_matches_reference_assembler(square):
-    M = assemble_mass(square).toarray()
-    A = assemble_stiffness(square).toarray()
-    np.testing.assert_allclose(M, brute_force_mass(square), atol=1e-12)
-    np.testing.assert_allclose(A, brute_force_stiffness(square), atol=1e-12)
-    # frozen dense references, hand-checked
-    M_ref = np.array([
-        [5 / 6, 5 / 24, 1 / 12, 5 / 24],
-        [5 / 24, 3 / 4, 5 / 24, 0.0],
-        [1 / 12, 5 / 24, 5 / 6, 5 / 24],
-        [5 / 24, 0.0, 5 / 24, 3 / 4],
-    ])
-    A_ref = np.array([
-        [3.0, -1.5, 0.0, -1.5],
-        [-1.5, 3.0, -1.5, 0.0],
-        [0.0, -1.5, 3.0, -1.5],
-        [-1.5, 0.0, -1.5, 3.0],
-    ])
-    np.testing.assert_allclose(M, M_ref, atol=1e-12)
-    np.testing.assert_allclose(A, A_ref, atol=1e-12)
 
 
 def test_disk_mesh_matches_reference_assembler():

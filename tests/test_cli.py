@@ -160,23 +160,6 @@ def test_mesh_large_target_is_fast(tmp_path):
     assert time.time() - start < 10.0
 
 
-def test_evolve_snapshots_and_diagnostics(tmp_path):
-    out = tmp_path / "evo"
-    rc = main(["evolve", "--nodes", "160", "--radius", "10", "--k", "1",
-               "--tau", "0.0125", "--T", "0.05", "--seed", "4",
-               "--snapshots", "0,0.025,0.05", "--out", str(out)])
-    assert rc == 0
-    snap0 = read(out / "snapshot_t0.csv").decode().splitlines()
-    assert snap0[0] == "x,y,u"
-    values = {row.split(",")[2] for row in snap0[1:]}
-    assert values <= {"1.0", "-1.0"}
-    diag = read(out / "diagnostics.csv").decode().splitlines()
-    assert diag[0] == "t,mass,energy"
-    assert len(diag) == 1 + 5  # T/tau + 1 rows
-    assert (out / "snapshot_t0.025.csv").exists()
-    assert (out / "snapshot_t0.05.csv").exists()
-
-
 def test_evolve_is_deterministic(tmp_path):
     args = ["evolve", "--nodes", "80", "--radius", "10", "--k", "1",
             "--tau", "0.0125", "--T", "0.025", "--seed", "9",
@@ -195,19 +178,6 @@ def test_evolve_seed_changes_output(tmp_path):
     assert main(base + ["--seed", "1", "--out", str(a)]) == 0
     assert main(base + ["--seed", "2", "--out", str(b)]) == 0
     assert read(a / "snapshot_t0.csv") != read(b / "snapshot_t0.csv")
-
-
-def test_evolve_vtk_export(tmp_path):
-    out = tmp_path / "evo"
-    rc = main(["evolve", "--nodes", "80", "--radius", "10", "--k", "1",
-               "--tau", "0.0125", "--T", "0.0125", "--snapshots", "0",
-               "--vtk", "--out", str(out)])
-    assert rc == 0
-    vtk = read(out / "snapshot_t0.vtk").decode().splitlines()
-    assert vtk[0].startswith("# vtk DataFile")
-    assert "DATASET UNSTRUCTURED_GRID" in vtk
-    assert any(line.startswith("POINTS") for line in vtk)
-    assert any(line == "SCALARS u double 1" for line in vtk)
 
 
 def test_evolve_rejects_off_grid_snapshot_time(tmp_path):

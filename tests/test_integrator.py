@@ -38,15 +38,10 @@ def test_backward_euler_scalar_decay():
     assert w1[0] == pytest.approx(u1[0], rel=1e-14)
 
 
-def test_zero_history_zero_forcing_stays_zero():
-    K = scalar_step_matrix(1.0, 1.0, 10.0)
-    M = sp.csr_matrix(np.array([[1.0]]))
-    u1, w1 = bdf_step(LINEAR, bdf_scheme(1), K, M, [np.zeros(1)],
-                      np.zeros(1), np.zeros(1))
-    assert u1[0] == 0.0 and w1[0] == 0.0
-
-
-def test_nonlinear_step_with_zero_map_bit_matches_linear():
+def test_nonlinear_step_with_zero_map_bit_matches_linear(monkeypatch):
+    nonlinearity_vector, calls = assembly.nonlinearity_vector, []
+    monkeypatch.setattr(assembly, "nonlinearity_vector",
+                        lambda *a: calls.append(a) or nonlinearity_vector(*a))
     mesh = generate_disk_mesh(20, 1.0)
     M = assembly.assemble_mass(mesh)
     A = assembly.assemble_stiffness(mesh)
@@ -58,9 +53,12 @@ def test_nonlinear_step_with_zero_map_bit_matches_linear():
     b1 = rng.standard_normal(mesh.node_count)
     b2 = rng.standard_normal(mesh.node_count)
     u_lin, w_lin = bdf_step(LINEAR, scheme, K, M, hist, b1, b2)
-    # a nonlinear problem may not use problems.zero_map itself
+    # only problems.zero_map itself skips the nonlinearity; another zero map
+    # is evaluated
+    assert len(calls) == 0
     u_non, w_non = bdf_step(_nonlinear(lambda u: 0.0 * u), scheme, K, M,
                             hist, b1, b2)
+    assert len(calls) == 1
     np.testing.assert_array_equal(u_lin, u_non)
     np.testing.assert_array_equal(w_lin, w_non)
 
@@ -321,14 +319,14 @@ def test_temporal_self_convergence_orders(k, window):
 def test_run_rejects_non_dividing_tau():
     with pytest.raises(ValueError, match="divide"):
         run(manufactured_linear(), generate_disk_mesh(20, 1.0), 0.3, 1.0,
-            bdf_scheme(1))
+            bdf_scheme(1), start_mode="exact")
 
 
 def test_run_names_order_and_step_count_when_the_span_is_too_short():
     # tau divides T, but BDF3 needs two steps to hold its starting values
     with pytest.raises(ValueError, match=r"gives 1 step\(s\).*BDF3 needs at least 2"):
         run(manufactured_linear(), generate_disk_mesh(20, 1.0), 0.5, 0.5,
-            bdf_scheme(3))
+            bdf_scheme(3), start_mode="exact")
 
 
 def test_run_aborts_with_step_index_on_blowup():
@@ -356,7 +354,7 @@ def test_trajectory_diagnostics_shapes():
     assert traj.energy is not None
     assert len(traj.mass) == len(traj.times) == len(traj.energy) == 21
     assert traj.snapshots == []  # nothing kept unless asked for
-    lin = run(manufactured_linear(), mesh, 0.01, 0.1, bdf_scheme(2))
+    lin = run(manufactured_linear(), mesh, 0.01, 0.1, bdf_scheme(2), start_mode="exact")
     assert lin.energy is None  # no potential declared
 
 
@@ -369,7 +367,7 @@ def test_run_memory_does_not_grow_with_the_step_count():
     for T in (0.25, 1.0):
         tracemalloc.start()
         try:
-            run(problem, mesh, 0.0025, T, bdf_scheme(3))
+            run(problem, mesh, 0.0025, T, bdf_scheme(3), start_mode="exact")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -380,7 +378,8 @@ def test_run_keeps_u_at_exactly_the_named_steps_in_step_order():
     problem = evolution_problem(seed=4)
     mesh = generate_disk_mesh(40, 1.0)
     tau, scheme = 1e-5, bdf_scheme(2)
-    traj = run(problem, mesh, tau, 10 * tau, scheme, keep=[7, 0, 3, 10, 3])
+    traj = run(problem, mesh, tau, 10 * tau, scheme, start_mode="bootstrap",
+               keep=[7, 0, 3, 10, 3])
     stepper = Stepper(problem, mesh, tau, scheme)
     us = [u for _, _, u, _ in stepper.stream(10, stepper.starts("bootstrap"))]
     assert len(traj.snapshots) == 4
@@ -392,7 +391,7 @@ def test_run_final_state_is_the_last_level_of_the_stream():
     problem = manufactured_linear()
     mesh = generate_disk_mesh(40, 1.0)
     tau, scheme = 0.01, bdf_scheme(3)
-    traj = run(problem, mesh, tau, 0.1, scheme, keep=[10])
+    traj = run(problem, mesh, tau, 0.1, scheme, start_mode="exact", keep=[10])
     stepper = Stepper(problem, mesh, tau, scheme)
     *_, (n, t, u, w) = stepper.stream(10, stepper.starts("exact"))
     assert (n, t) == (10, traj.times[-1])
@@ -409,7 +408,8 @@ def test_run_names_a_step_it_cannot_keep_before_assembling(monkeypatch, bad):
     mesh = generate_disk_mesh(20, 1.0)
     monkeypatch.setattr(integrator, "Stepper", no_assembly)
     with pytest.raises(ValueError, match=rf"step {bad}: the run has steps 0\.\.10"):
-        run(manufactured_linear(), mesh, 0.01, 0.1, bdf_scheme(2), keep=[3, bad])
+        run(manufactured_linear(), mesh, 0.01, 0.1, bdf_scheme(2), start_mode="exact",
+            keep=[3, bad])
 
 
 @pytest.mark.parametrize("problem", [manufactured_linear(), manufactured_nonlinear()],
@@ -455,7 +455,8 @@ def _same_csr(a, b):
 @pytest.mark.parametrize("problem", [manufactured_linear(), evolution_problem()],
                          ids=["forced", "unforced"])
 def test_stepper_mass_is_the_one_assemble_mass(monkeypatch, problem):
-    # the solver steps with the very matrix the brute-force oracle checks
+    # the solver steps with the very matrix the brute-force oracle checks; a
+    # forced Stepper sums the parts it holds, as assemble_mass does
     assemble_mass, built = assembly.assemble_mass, []
 
     def recording(mesh):
@@ -465,13 +466,20 @@ def test_stepper_mass_is_the_one_assemble_mass(monkeypatch, problem):
     monkeypatch.setattr(assembly, "assemble_mass", recording)
     mesh = generate_disk_mesh(160, 1.0)
     stepper = Stepper(problem, mesh, 0.01, bdf_scheme(2))
-    assert len(built) == 1 and stepper.M is built[0]
+    if stepper.M_bulk is None:
+        assert len(built) == 1 and stepper.M is built[0]
     assert _same_csr(stepper.M, assemble_mass(mesh))
 
 
-def test_a_forced_stepper_holds_the_assembled_mass_parts_bitwise():
+def test_a_forced_stepper_holds_the_assembled_mass_parts_bitwise(monkeypatch):
+    calls = []
+    for name in ("assemble_bulk_mass", "assemble_surface_mass"):
+        part = getattr(assembly, name)
+        monkeypatch.setattr(assembly, name, lambda mesh, name=name, part=part:
+                            calls.append(name) or part(mesh))
     mesh = generate_disk_mesh(160, 1.0)
     stepper = Stepper(ProblemSpec(f2_surf=lambda x, y, t: 1.0), mesh, 0.01, bdf_scheme(1))
+    assert sorted(calls) == ["assemble_bulk_mass", "assemble_surface_mass"]
     assert _same_csr(stepper.M_bulk, assembly.assemble_bulk_mass(mesh))
     assert _same_csr(stepper.M_surf, assembly.assemble_surface_mass(mesh))
 
@@ -491,7 +499,7 @@ def test_a_non_finite_forcing_aborts_naming_its_node_and_time():
     f = lambda x, y, t: np.where((t > 0.045) & (np.arange(len(x))[:, None] == 7),
                                  np.nan, 0.0 * x * t)
     with pytest.raises(ValueError, match=r"field returned nan at node 7, t = 0.05\b"):
-        run(ProblemSpec(f2_surf=f), mesh, 0.01, 0.1, bdf_scheme(1))
+        run(ProblemSpec(f2_surf=f), mesh, 0.01, 0.1, bdf_scheme(1), start_mode="bootstrap")
 
 
 def _recording_f1_bulk(problem, seen):
@@ -515,18 +523,6 @@ def test_stream_steps_and_loads_at_t_start_plus_n_tau_bitwise():
     assert set(seen) == set(expected[3:])
 
 
-def test_bootstrap_substeps_load_at_their_own_grid_bitwise():
-    tau, k = 0.01, 3
-    seen = []
-    problem = _recording_f1_bulk(manufactured_linear(), seen)
-    stepper = Stepper(problem, generate_disk_mesh(320, 1.0), tau, bdf_scheme(k))
-    assert len(list(stepper.starts("bootstrap"))) == k
-    m = integrator._bootstrap_substeps(tau, k)
-    assert m == 22  # two 12-step load blocks per start
-    assert seen == [(j - 1) * tau + s * (tau / m)
-                    for j in range(1, k) for s in range(1, m + 1)]
-
-
 def test_exact_starts_sample_the_solution_at_t_start_plus_j_tau_bitwise():
     tau, t_start, k = 0.01, 0.04, 3
     problem, mesh = manufactured_linear(), generate_disk_mesh(80, 1.0)
@@ -539,17 +535,20 @@ def test_exact_starts_sample_the_solution_at_t_start_plus_j_tau_bitwise():
         assert w.tobytes() == assembly.nodal_interpolate(problem.exact_w, mesh, t).tobytes()
 
 
+@pytest.mark.parametrize("t_start", [0.0, 0.5])
 @pytest.mark.parametrize("k", [2, 3])
-def test_bootstrap_starts_from_u0_at_t_start_and_loads_from_there_bitwise(k):
-    tau, t_start = 0.01, 0.5
+def test_bootstrap_starts_from_u0_at_t_start_and_loads_from_there_bitwise(k, t_start):
+    # 320 nodes: the substeps load in 12-step blocks
+    tau = 0.01
     seen = []
     problem = _recording_f1_bulk(manufactured_linear(), seen)
-    mesh = generate_disk_mesh(80, 1.0)
+    mesh = generate_disk_mesh(320, 1.0)
     stepper = Stepper(problem, mesh, tau, bdf_scheme(k), t_start)
     u0, _ = next(stepper.starts("bootstrap"))
     assert u0.tobytes() == assembly.nodal_interpolate(problem.u0, mesh, t_start).tobytes()
     assert len(list(stepper.starts("bootstrap"))) == k
     m = integrator._bootstrap_substeps(tau, k)
+    assert k != 3 or m == 22  # two load blocks per start
     assert seen == [t_start + (j - 1) * tau + s * (tau / m)
                     for j in range(1, k) for s in range(1, m + 1)]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chdbc.mesh import generate_disk_mesh
 from chdbc.problems import (
     MANUFACTURED,
-    ProblemSpec,
+    double_well_derivative,
     evolution_problem,
     manufactured_linear,
     manufactured_nonlinear,
@@ -93,12 +93,7 @@ def test_evolution_derivative_values():
     assert p.potential(0.0) == pytest.approx(10.0, rel=1e-15)
 
 
-def test_evolution_requires_positive_strength():
-    with pytest.raises(ValueError):
-        evolution_problem(strength=0.0)
-
-
-@pytest.mark.parametrize("strength", [math.inf, math.nan])
+@pytest.mark.parametrize("strength", [0.0, math.inf, math.nan])
 def test_evolution_requires_finite_strength(strength):
     with pytest.raises(ValueError, match="strength must be positive and finite"):
         evolution_problem(strength=strength)
@@ -147,18 +142,8 @@ def test_initial_field_depends_only_on_the_point(disk_2560, seed, order, data):
 
 
 def test_problem_by_name():
-    assert MANUFACTURED["linear"]().kind == "linear"
-    assert MANUFACTURED["nonlinear"]().kind == "nonlinear"
+    assert MANUFACTURED["linear"]().nonlinearity is zero_map
+    assert MANUFACTURED["nonlinear"]().nonlinearity is double_well_derivative
     # evolve builds its problem from --strength and --seed, not by name
     for name in ("evolution", "stokes"):
         assert name not in MANUFACTURED
-
-
-def test_kind_follows_the_nonlinearity():
-    # linear exactly when the nonlinearity is the zero map itself
-    assert manufactured_linear().nonlinearity is zero_map
-    assert ProblemSpec().kind == "linear"
-    assert ProblemSpec(nonlinearity=lambda u: 0.0 * u).kind == "nonlinear"
-    assert evolution_problem().kind == "nonlinear"
-    spec = dataclasses.replace(manufactured_nonlinear(), nonlinearity=zero_map)
-    assert spec.kind == "linear"

@@ -48,22 +48,17 @@ def test_matches_dense_solve_on_small_mesh():
                                    rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("tau", [0.025, 0.0125, 0.005, 0.0025])
-def test_nonsingular_for_experiment_step_sizes(tau):
-    mesh = generate_disk_mesh(40, 1.0)
-    delta0 = 11.0 / 6.0
-    K = _disk_step_matrix(mesh, delta0 / tau)
-    rhs = np.ones(2 * mesh.node_count)
-    x = K.solve(rhs)
-    residual = np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max()
-    assert residual <= 1e-10
-
-
-def test_solve_residual_bound_on_random_rhs():
-    mesh = generate_disk_mesh(80, 1.0)
-    K = _disk_step_matrix(mesh, 400.0)
-    rng = np.random.default_rng(2)
-    rhs = rng.standard_normal(2 * mesh.node_count)
+# BDF3 (delta0 = 11/6) at each experiment tau on a ones right-hand side, and
+# delta0/tau = 400 (BDF1 at tau = 0.0025) on a random one
+@pytest.mark.parametrize("nodes, ratio, seed", [
+    *((40, 11.0 / 6.0 / tau, None) for tau in (0.025, 0.0125, 0.005, 0.0025)),
+    (80, 400.0, 2),
+], ids=["0.025", "0.0125", "0.005", "0.0025", "random-rhs"])
+def test_nonsingular_for_experiment_step_sizes(nodes, ratio, seed):
+    mesh = generate_disk_mesh(nodes, 1.0)
+    K = _disk_step_matrix(mesh, ratio)
+    n = 2 * mesh.node_count
+    rhs = np.ones(n) if seed is None else np.random.default_rng(seed).standard_normal(n)
     x = K.solve(rhs)
     assert np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max() <= 1e-10
 

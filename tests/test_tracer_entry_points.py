@@ -59,7 +59,7 @@ def test_step_matrix_exposes_the_lu_and_the_block_matrix(tracing):
 def test_trajectory_bytes_count_every_state_a_run_holds(tracing):
     # integrator.trajectory_mb must not drop the states a trajectory keeps
     traj = run(manufactured_linear(), generate_disk_mesh(40, 1.0), 0.01, 0.1,
-               bdf_scheme(2), keep=[0, 5, 10])
+               bdf_scheme(2), start_mode="exact", keep=[0, 5, 10])
     assert len(traj.snapshots) == 3
     held = sum(u.nbytes for u in traj.snapshots)
     held += traj.u_final.nbytes + traj.w_final.nbytes
@@ -82,5 +82,5 @@ def test_forcings_are_interpolated_once_per_load_block(monkeypatch):
     monkeypatch.setattr(assembly, "nodal_interpolate", counted)
     mesh = generate_disk_mesh(320, 1.0)
     assert mesh.node_count == 320
-    run(problem, mesh, 0.0025, 1.0, bdf_scheme(3))
+    run(problem, mesh, 0.0025, 1.0, bdf_scheme(3), start_mode="exact")
     assert sum(f in forcings for f in calls) == 4 * math.ceil(398 / 12) == 136
