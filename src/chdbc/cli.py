@@ -72,6 +72,8 @@ def _check_out_file(path: Optional[str]) -> None:
     if not path:
         return
     where = os.path.dirname(path) or "."
+    if os.path.exists(where) and not os.path.isdir(where):
+        raise OSError(f"cannot write {path!r}: {where!r} is not a directory")
     if not os.path.isdir(where):
         raise OSError(f"cannot write {path!r}: directory {where!r} does not exist")
     if os.path.isdir(path):
@@ -79,8 +81,10 @@ def _check_out_file(path: Optional[str]) -> None:
 
 
 def _check_out_dir(path: str) -> None:
-    # os.makedirs fails if the nearest existing path at or above `path` is
-    # not a directory; "" stands for the working directory
+    # os.makedirs fails on "", and if the nearest existing path at or above
+    # `path` is not a directory; a walk that ends at "" reached the cwd
+    if not path:
+        raise OSError(f"cannot create output directory {path!r}: the path is empty")
     there = path
     while there and not os.path.lexists(there):
         there = os.path.dirname(there)

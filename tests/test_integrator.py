@@ -206,16 +206,6 @@ def test_zero_problem_yields_zero_trajectory():
     np.testing.assert_allclose(np.diff(traj.times), 0.01, rtol=1e-12)
 
 
-def test_mass_is_conserved_without_u_forcing():
-    # first block row gives sum_j delta_j (1^T M u^{n-j}) = -tau 1^T A w = 0
-    problem = evolution_problem(seed=3)
-    mesh = generate_disk_mesh(80, 1.0)
-    traj = run(problem, mesh, 1e-5, 100e-5, bdf_scheme(3), start_mode="bootstrap")
-    drift = np.abs(traj.mass - traj.mass[0]).max()
-    assert drift <= 1e-10 * abs(traj.mass[0])
-    assert len(traj.times) == 101
-
-
 # Largest tau * lambda_max(M^-1 A) * max|F'| drawn per k. Over 12 steps
 # from 'exact' starts (u0 at every level), on 105 cases (nodes 10-160,
 # strength 0.1-10, three seeds), BDF4 diverged in 1 case at 0.2 and BDF5
@@ -290,6 +280,28 @@ def test_energy_seminorm_decays_for_backward_euler():
             diffs = np.diff(e)
             assert (diffs <= 1e-12).all()
             assert e[-1] < e[0]
+
+
+def test_bdf2_g_norm_energy_law():
+    # On the linear homogeneous run above, BDF2's block rows tested with w^n
+    # and with (3/2) u^n - 2u^(n-1) + (1/2) u^(n-2), and Dahlquist's G-norm,
+    # give for n >= 2
+    #   E_G^n - E_G^(n-1) = -tau |w^n|_A^2 - (1/4) |u^n - 2u^(n-1) + u^(n-2)|_A^2,
+    #   E_G^n = (1/4) (|u^n|_A^2 + |2u^n - u^(n-1)|_A^2).
+    tau = 0.005
+    linear = ProblemSpec(u0=evolution_problem(seed=11).u0, potential=zero_map)
+    stepper = Stepper(linear, generate_disk_mesh(80, 1.0), tau, bdf_scheme(2))
+    levels = [(u, w) for _, _, u, w in stepper.stream(
+        step_count(tau, 200 * tau, 2), stepper.starts("bootstrap"))]
+    u = [u for u, _ in levels]
+
+    def a(v):
+        return v @ (stepper.A @ v)
+
+    e = [0.25 * (a(u1) + a(2 * u1 - u0)) for u0, u1 in zip(u, u[1:])]  # E_G^1, ...
+    gap = [e1 - e0 + tau * a(w) + 0.25 * a(u2 - 2 * u1 + u0) for u0, u1, u2, (_, w), e0, e1
+           in zip(u, u[1:], u[2:], levels[2:], e, e[1:])]
+    assert np.abs(gap).max() <= 1e-12 * np.abs(e).max()
 
 
 def test_bdf3_difference_quotient_truncation():

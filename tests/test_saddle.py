@@ -36,18 +36,6 @@ def test_scalar_solves():
     np.testing.assert_array_equal(K.solve(np.zeros(2)), np.zeros(2))
 
 
-def test_matches_dense_solve_on_small_mesh():
-    mesh = generate_disk_mesh(20, 1.0)
-    K = _disk_step_matrix(mesh, 1.0 / 0.0025)
-    dense = K.matrix.toarray()
-    assert np.linalg.det(dense) != 0
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        rhs = rng.standard_normal(2 * mesh.node_count)
-        np.testing.assert_allclose(K.solve(rhs), np.linalg.solve(dense, rhs),
-                                   rtol=1e-10, atol=1e-12)
-
-
 # BDF3 (delta0 = 11/6) at each experiment tau on a ones right-hand side, and
 # delta0/tau = 400 (BDF1 at tau = 0.0025) on a random one
 @pytest.mark.parametrize("nodes, ratio, seed", [

@@ -76,6 +76,10 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("evolve-k3-diverges",
      ["evolve", "--nodes", "160", "--radius", "1", "--k", "3", "--tau", "0.01",
       "--T", "1", "--snapshots", "0", "--out", "out"]),
+    # an empty output directory is refused before the run
+    ("evolve-empty-out",
+     ["evolve", "--nodes", "20", "--radius", "1", "--tau", "0.005", "--T", "0.01",
+      "--snapshots", "0", "--out", ""]),
 )
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
