@@ -311,7 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "evolve":
             return cmd_evolve(args, parser)
         return cmd_mesh(args, parser)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"chdbc {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,7 @@ Classical k-step BDF for linear problems; for nonlinear problems the
 linearly implicit variant evaluates the nonlinearity at the extrapolated
 value built from the k previous steps, so every step solves one constant
 linear saddle system. `bdf_step` is that step. A `Stepper` feeds it for the
-starting values and for the main loop and streams the time levels; `run`
+starting values and the main loop and streams the levels from t = 0; `run`
 drives that stream into a `Trajectory` of diagnostics and kept states.
 """
 
@@ -134,19 +134,18 @@ def _bootstrap_substeps(tau: float, k: int) -> int:
 
 
 class Stepper:
-    """One problem on one mesh with one step size and scheme, from t_start.
+    """One problem on one mesh with one step size and scheme, from t = 0.
 
     Built once, it owns M and A (and M's bulk and surface parts when the
     problem has a forcing), the mass weights, the load evaluator and the
-    node order every factorization eliminates in. Level n lies at t =
-    t_start + n tau, the starting values included. `stream` factorizes the
-    step matrix and yields the time levels one at a time.
+    node order every factorization eliminates in. Level n lies at t = n tau,
+    the starting values included. `stream` factorizes the step matrix and
+    yields the time levels one at a time.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh2D, tau: float,
-                 scheme: BDFScheme, t_start: float = 0.0):
+                 scheme: BDFScheme):
         self.problem, self.mesh, self.tau, self.scheme = problem, mesh, tau, scheme
-        self.t_start = t_start
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))
         # M's (bulk, surface) parts, which only the loads read: None unforced.
@@ -222,28 +221,26 @@ class Stepper:
                 yield n, t, u, w
 
     def starts(self, mode: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """The k starting pairs (u^j, w^j) at t = t_start + j tau, j = 0..k-1.
+        """The k starting pairs (u^j, w^j) at t = j tau, j = 0..k-1.
 
         mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
-        u^0 from the initial data at t_start, with w^0 None (no step reads
-        it), and reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1
+        u^0 from the initial data at t = 0, with w^0 None (no step reads it),
+        and reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1
         substeps (at most BOOTSTRAP_SUBSTEP_CAP). Their error, about tau^2/m
         = tau^(2+(k-1)/k), is below the method order k for k >= 3.
         """
         problem, mesh, tau, k = self.problem, self.mesh, self.tau, self.scheme.k
-        t_start = self.t_start
         if mode == "exact":
             if not problem.has_exact_solution:
                 raise ValueError("start mode 'exact' needs exact solutions")
             for j in range(k):
-                t = t_start + j * tau
-                yield (assembly.nodal_interpolate(problem.exact_u, mesh, t),
-                       assembly.nodal_interpolate(problem.exact_w, mesh, t))
+                yield (assembly.nodal_interpolate(problem.exact_u, mesh, j * tau),
+                       assembly.nodal_interpolate(problem.exact_w, mesh, j * tau))
             return
         if mode != "bootstrap":
             raise ValueError(f"start mode must be 'exact' or 'bootstrap', got {mode!r}")
 
-        u = assembly.nodal_interpolate(problem.u0, mesh, t_start)
+        u = assembly.nodal_interpolate(problem.u0, mesh, 0.0)
         yield u, None
         if k == 1:
             return
@@ -253,7 +250,7 @@ class Stepper:
         K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub, self.order)
         for j in range(1, k):
             for _, _, u, w in self._march(K1, one, [u], range(1, m + 1),
-                                          t_start + (j - 1) * tau, sub, j):
+                                          (j - 1) * tau, sub, j):
                 pass
             yield u, w
 
@@ -274,13 +271,13 @@ class Stepper:
         recent: List[np.ndarray] = []  # newest first
         for n, (u, w) in enumerate(starts):
             recent.insert(0, u)
-            yield n, self.t_start + n * self.tau, u, w
+            yield n, n * self.tau, u, w
         if n_steps == k - 1:
             return
         K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,
                               self.order)
         yield from self._march(K, self.scheme, recent, range(k, n_steps + 1),
-                               self.t_start, self.tau)
+                               0.0, self.tau)
 
 
 def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
@@ -293,18 +290,23 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
     index is in `keep`: those u are kept as snapshots. An index outside
     [0, n_steps] is a ValueError, raised before anything is assembled.
     start_mode is 'exact' or 'bootstrap' (`Stepper.starts`). A run seeded
-    with other starting values, or from a later time, is
-    `Stepper(..., t_start).stream` with those values.
+    with other starting values is `Stepper.stream` with those values, and
+    one from a later time steps the problem shifted in time. A level count
+    too large to allocate is a MemoryError, raised before assembly too.
     """
     n_steps = step_count(tau, T, scheme.k)
     keep = set(keep)
     for n in keep:
         if n not in range(n_steps + 1):
             raise ValueError(f"cannot keep step {n!r}: the run has steps 0..{n_steps}")
+    try:
+        times, mass = np.empty(n_steps + 1), np.empty(n_steps + 1)
+        energy = None if problem.potential is None else np.empty(n_steps + 1)
+    except (ValueError, MemoryError) as exc:
+        # NumPy raises ValueError for a length past its largest dimension
+        raise MemoryError(f"cannot allocate the diagnostics of "
+                          f"{n_steps + 1:.4g} time levels") from exc
     stepper = Stepper(problem, mesh, tau, scheme)
-
-    times, mass = np.empty(n_steps + 1), np.empty(n_steps + 1)
-    energy = None if problem.potential is None else np.empty(n_steps + 1)
     snapshots = []
     for n, t, u, w in stepper.stream(n_steps, stepper.starts(start_mode)):
         times[n], mass[n] = t, stepper.mass(u)

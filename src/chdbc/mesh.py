@@ -25,11 +25,9 @@ CIRCLE_TOL = 1e-12
 class MeshFormatError(ValueError):
     """Raised for malformed mesh files; message carries the offending line."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass(frozen=True)

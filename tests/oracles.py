@@ -8,6 +8,7 @@ checks the package, not a copy of it. The suite's tests import from here;
 this module defines no tests.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -130,7 +131,9 @@ def seeded_temporal_eocs(problem, mesh, k, tau_ref, t_off, taus):
     The reference is a run at `tau_ref` from exact starts. Each coarse run
     takes its k starting values from the reference at t_off, t_off + tau,
     ... (t_off and every tau are multiples of tau_ref) and is measured
-    against the reference's u at t = 1.
+    against the reference's u at t = 1. A run starts at t = 0, so the coarse
+    runs step the problem shifted in time: its forcings at t are the
+    problem's at t_off + t, the very doubles a run from t_off would load.
     """
     M = assembly.assemble_mass(mesh)
     scheme = bdf_scheme(k)
@@ -138,11 +141,17 @@ def seeded_temporal_eocs(problem, mesh, k, tau_ref, t_off, taus):
     ref = [(u, w) for _, _, u, w in ref_stepper.stream(
         step_count(tau_ref, 1.0, k), ref_stepper.starts("exact"))]
     i0 = round(t_off / tau_ref)
+
+    def later(f):
+        return lambda x, y, t: f(x, y, t_off + t)
+
+    shifted = replace(problem, **{name: later(getattr(problem, name)) for name in
+                                  ("f1_bulk", "f2_bulk", "f1_surf", "f2_surf")})
     errs = []
     for tau in taus:
         stride = round(tau / tau_ref)
         starts = [ref[i0 + j * stride] for j in range(k)]
-        stepper = Stepper(problem, mesh, tau, scheme, t_off)
+        stepper = Stepper(shifted, mesh, tau, scheme)
         for _, _, u, _ in stepper.stream(step_count(tau, 1.0 - t_off, k), starts):
             pass  # u ends as the level at t = 1
         errs.append(analysis.l2_norm(M, u - ref[-1][0]))

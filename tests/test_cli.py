@@ -154,18 +154,6 @@ def test_evolve_writes_one_file_for_times_that_share_a_step_and_name(
     assert sorted(os.listdir(out)) == ["diagnostics.csv", f"snapshot_t{name}.csv"]
 
 
-def test_runtime_failure_returns_one_and_removes_partial_csv(tmp_path, capsys):
-    # k=3 extrapolation blows up at these parameters -> runtime error
-    out = tmp_path / "evo"
-    rc = main(["evolve", "--nodes", "160", "--radius", "1", "--k", "3",
-               "--tau", "0.01", "--T", "0.1", "--snapshots", "0,0.1",
-               "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "error" in err
-    assert not (out / "diagnostics.csv").exists()
-
-
 def test_failed_evolve_write_leaves_the_earlier_outputs(tmp_path, monkeypatch):
     # the second VTK render fails after the first CSV and VTK are written
     out = tmp_path / "evo"
@@ -325,6 +313,44 @@ def test_a_refused_command_exits_before_any_work(tmp_path, capsys, monkeypatch,
     assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"]
     assert read(tmp_path / "a_file") == b"kept\n"
     assert os.listdir(tmp_path / "a_dir") == []
+
+
+@pytest.mark.parametrize("command, last_line", [
+    ("convergence --problem linear --tau 1e-300 --out t.csv",
+     "chdbc convergence: error: cannot allocate the diagnostics of 1e+300 time levels"),
+    ("evolve --T 1e9 --tau 1e-9 --out run",
+     "chdbc evolve: error: cannot allocate the diagnostics of 1e+18 time levels"),
+])
+def test_a_step_count_too_large_to_hold_fails_before_the_stepper(
+        tmp_path, capsys, monkeypatch, command, last_line):
+    calls = []
+    monkeypatch.setattr(cli.integrator, "Stepper", lambda *args: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)) == 1 and calls == []
+    assert capsys.readouterr().err.splitlines() == [last_line]
+    assert os.listdir(tmp_path) == []
+
+
+# the extrapolated k = 2, 3 schemes leave their stability region, at the
+# defaults (README) and on a 160-node unit disk
+DIVERGING = [
+    ("evolve --k 2 --out run",
+     "aborted at step 73 (t = 0.09125): nonlinearity returned -inf at node 0"),
+    ("evolve --k 3 --out run",
+     "aborted at step 11 (t = 0.01375): nonlinearity returned inf at node 0"),
+    ("evolve --nodes 160 --radius 1 --k 3 --tau 0.01 --T 0.1 --snapshots 0,0.1 --out run",
+     "aborted at step 8 (t = 0.08): nonlinearity returned -inf at node 0"),
+]
+
+
+@pytest.mark.parametrize("command, last_line", DIVERGING,
+                         ids=[command for command, _ in DIVERGING])
+def test_a_diverging_evolve_exits_1_naming_its_step_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, last_line):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"chdbc evolve: error: {last_line}"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command, out", [

@@ -1,8 +1,10 @@
 """Stdlib `ast` scans: every imported name is used in the package, the tests
-and the tools (`from __future__` imports are exempt), and the package holds
-only code that it names itself."""
+and the tools (`from __future__` imports are exempt), the package holds only
+code that it names itself, and it passes every parameter it gives a
+default."""
 
 import ast
+from math import inf
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,3 +68,55 @@ def test_package_defines_only_what_it_names():
     # tests/test_tracer_entry_points.py pins it there
     assert [d for d in unreferenced_definitions(sources)
             if d != "saddle.py: StepMatrix.matrix"] == []
+
+
+def unpassed_parameters(sources):
+    """`file: name(parameter)` of each defaulted parameter of a top-level
+    function or a method that no call in `sources` passes, by position or by
+    keyword. A call is matched by the name it calls, so a class's `__init__`
+    is called through the class name. `sources` maps file to text."""
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    calls = {}  # called name -> [(positional count, keyword names)]
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                name = call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                # *args passes every position, and **kwargs (arg None) every keyword
+                starred = any(isinstance(a, ast.Starred) for a in call.args)
+                calls.setdefault(name, []).append(
+                    (inf if starred else len(call.args), {k.arg for k in call.keywords}))
+    found = []
+    for file, tree in trees.items():
+        defs = []  # (label, called name, arguments, parameters before the first passed)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node.name, node.args, 0))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(node.name, node.name, m.args, 1) if m.name == "__init__" else
+                         (f"{node.name}.{m.name}", m.name, m.args, 1)
+                         for m in node.body if isinstance(m, ast.FunctionDef)]
+        for label, name, args, skip in defs:
+            positional = (args.posonlyargs + args.args)[skip:]
+            defaulted = list(enumerate(a.arg for a in positional))[
+                len(positional) - len(args.defaults):]
+            defaulted += [(inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found += [f"{file}: {label}({arg})" for i, arg in defaulted
+                      if not any(i < count or arg in keys or None in keys
+                                 for count, keys in calls.get(name, []))]
+    return found
+
+
+def test_package_sets_every_parameter_it_defaults():
+    # the scan itself: C(y=3) leaves x, f(1, c=2) leaves b, *[] passes every
+    # position and h(1, 2) leaves r
+    assert unpassed_parameters({
+        "a.py": "class C:\n    def __init__(self, x=1, y=2): pass\n"
+                "    def f(self, a, b=0, *, c=None): pass\n"
+                "def g(p=0, q=1): pass\ndef h(p, q=1, r=2): pass\n",
+        "b.py": "from a import C, g, h\nC(y=3).f(1, c=2)\ng(*[])\nh(1, 2)\n"}) == [
+        "a.py: C(x)", "a.py: C.f(b)", "a.py: h(r)"]
+    sources = {path.name: path.read_text()
+               for path in sorted((ROOT / "src/chdbc").glob("*.py"))}
+    # the one exception: the [project.scripts] entry point calls main()
+    assert [p for p in unpassed_parameters(sources) if p != "cli.py: main(argv)"] == []

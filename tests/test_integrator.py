@@ -523,45 +523,32 @@ def _recording_f1_bulk(problem, seen):
     return dataclasses.replace(problem, f1_bulk=f1_bulk)
 
 
-def test_stream_steps_and_loads_at_t_start_plus_n_tau_bitwise():
+def test_stream_steps_and_loads_at_n_tau_bitwise():
     # 320 nodes: 40 steps in 12-step load blocks
-    tau, t_start, n_steps = 0.01, 0.04, 40
+    tau, n_steps = 0.01, 40
     seen = []
     problem = _recording_f1_bulk(manufactured_linear(), seen)
-    stepper = Stepper(problem, generate_disk_mesh(320, 1.0), tau, bdf_scheme(3), t_start)
+    stepper = Stepper(problem, generate_disk_mesh(320, 1.0), tau, bdf_scheme(3))
     times = [t for _, t, _, _ in stepper.stream(n_steps, stepper.starts("exact"))]
-    expected = [t_start + n * tau for n in range(n_steps + 1)]
+    expected = [n * tau for n in range(n_steps + 1)]
     assert times == expected
     assert set(seen) == set(expected[3:])
 
 
-def test_exact_starts_sample_the_solution_at_t_start_plus_j_tau_bitwise():
-    tau, t_start, k = 0.01, 0.04, 3
-    problem, mesh = manufactured_linear(), generate_disk_mesh(80, 1.0)
-    stepper = Stepper(problem, mesh, tau, bdf_scheme(k), t_start)
-    levels = list(stepper.stream(k - 1, stepper.starts("exact")))
-    assert [(n, t) for n, t, _, _ in levels] == [(j, t_start + j * tau) for j in range(k)]
-    for j, (_, _, u, w) in enumerate(levels):
-        t = t_start + j * tau
-        assert u.tobytes() == assembly.nodal_interpolate(problem.exact_u, mesh, t).tobytes()
-        assert w.tobytes() == assembly.nodal_interpolate(problem.exact_w, mesh, t).tobytes()
-
-
-@pytest.mark.parametrize("t_start", [0.0, 0.5])
 @pytest.mark.parametrize("k", [2, 3])
-def test_bootstrap_starts_from_u0_at_t_start_and_loads_from_there_bitwise(k, t_start):
+def test_bootstrap_starts_from_u0_at_zero_and_loads_from_there_bitwise(k):
     # 320 nodes: the substeps load in 12-step blocks
     tau = 0.01
     seen = []
     problem = _recording_f1_bulk(manufactured_linear(), seen)
     mesh = generate_disk_mesh(320, 1.0)
-    stepper = Stepper(problem, mesh, tau, bdf_scheme(k), t_start)
+    stepper = Stepper(problem, mesh, tau, bdf_scheme(k))
     u0, _ = next(stepper.starts("bootstrap"))
-    assert u0.tobytes() == assembly.nodal_interpolate(problem.u0, mesh, t_start).tobytes()
+    assert u0.tobytes() == assembly.nodal_interpolate(problem.u0, mesh, 0.0).tobytes()
     assert len(list(stepper.starts("bootstrap"))) == k
     m = integrator._bootstrap_substeps(tau, k)
     assert k != 3 or m == 22  # two load blocks per start
-    assert seen == [t_start + (j - 1) * tau + s * (tau / m)
+    assert seen == [(j - 1) * tau + s * (tau / m)
                     for j in range(1, k) for s in range(1, m + 1)]
 
 

@@ -80,6 +80,9 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("evolve-empty-out",
      ["evolve", "--nodes", "20", "--radius", "1", "--tau", "0.005", "--T", "0.01",
       "--snapshots", "0", "--out", ""]),
+    # step counts (1e300 and 1e18) too large for the per-level diagnostics
+    ("convergence-tau-1e-300", ["convergence", "--problem", "linear", "--tau", "1e-300"]),
+    ("evolve-1e18-steps", ["evolve", "--T", "1e9", "--tau", "1e-9", "--out", "out"]),
 )
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
