@@ -148,15 +148,13 @@ class Stepper:
         self.problem, self.mesh, self.tau, self.scheme = problem, mesh, tau, scheme
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))
-        # M's (bulk, surface) parts, which only the loads read: None unforced.
-        # A forced M is their sum, the very expression assemble_mass returns.
-        self.M_bulk = self.M_surf = None
-        if any(f is not zero_field for pair in self._forcings for f in pair):
-            self.M_bulk = assembly.assemble_bulk_mass(mesh)
-            self.M_surf = assembly.assemble_surface_mass(mesh)
-            self.M = self.M_bulk + self.M_surf
-        else:
-            self.M = assembly.assemble_mass(mesh)
+        # M is the sum of its (bulk, surface) parts; only the loads read the
+        # parts, so an unforced problem drops them at once.
+        self.M_bulk = assembly.assemble_bulk_mass(mesh)
+        self.M_surf = assembly.assemble_surface_mass(mesh)
+        self.M = self.M_bulk + self.M_surf
+        if all(f is zero_field for pair in self._forcings for f in pair):
+            self.M_bulk = self.M_surf = None
         self.A = assembly.assemble_stiffness(mesh)
         # 1^T M: mass and the potential part of the energy integrate against it
         self.weights = np.asarray(self.M.sum(axis=0)).ravel()
@@ -166,8 +164,8 @@ class Stepper:
         """The loads (b1, b2) at the S given times, each of shape (N, S).
 
         Forcing pairs live on (bulk, surface), so each load is
-        M_bulk @ F_bulk + M_surf @ F_surf, with each forcing evaluated once
-        on the node x time grid. Zero forcings are never evaluated.
+        M_bulk @ F_bulk + M_surf @ F_surf. An unforced problem evaluates no
+        forcing; a forced one all four, each once on the node x time grid.
         """
         if self.M_bulk is None:
             zero = np.broadcast_to(0.0, (self.mesh.node_count, len(times)))

@@ -113,10 +113,10 @@ def validate_mesh(mesh: Mesh2D) -> None:
     """Check all Mesh2D invariants, raising ValueError on the first failure.
 
     Checks finite coordinates and a positive finite radius first (later
-    checks pass NaN), then index ranges, strictly positive (non-degenerate)
-    triangle areas, the boundary/interior edge incidence counts, that the
-    boundary edges form a single closed cycle, and (when a radius is
-    present) that every boundary vertex lies on the circle.
+    checks pass NaN), then index ranges, finite and strictly positive
+    (non-degenerate) triangle areas, the boundary/interior edge incidence
+    counts, that the boundary edges form a single closed cycle, and (when a
+    radius is present) that every boundary vertex lies on the circle.
     """
     if not np.isfinite(mesh.nodes).all():
         k = int(np.argmin(np.isfinite(mesh.nodes).all(axis=1)))
@@ -137,9 +137,15 @@ def validate_mesh(mesh: Mesh2D) -> None:
     if mesh.boundary_edges.min() < 0 or mesh.boundary_edges.max() >= n:
         raise ValueError("boundary edge node index out of range")
 
-    areas = signed_areas(mesh)
-    h = mesh_size(mesh)
-    if areas.min() <= DEGENERATE_AREA_FACTOR * h * h:
+    # products of coordinates past about 1.3e154 overflow: such an area is
+    # refused by name, and a NaN fails the comparison below
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = signed_areas(mesh)
+        h = mesh_size(mesh)
+    if not np.isfinite(areas).all():
+        t = int(np.argmin(np.isfinite(areas)))
+        raise ValueError(f"signed area of triangle {t} overflows a double (got {areas[t]})")
+    if not areas.min() > DEGENERATE_AREA_FACTOR * h * h:
         t = int(np.argmin(areas))
         raise ValueError(
             f"triangle {t} is degenerate or negatively oriented "
@@ -184,7 +190,7 @@ def validate_mesh(mesh: Mesh2D) -> None:
         raise ValueError("boundary edges form more than one cycle")
 
     if mesh.radius is not None:
-        r = np.sqrt(np.sum(mesh.nodes[np.unique(mesh.boundary_edges)] ** 2, axis=1))
+        r = np.hypot(*mesh.nodes[np.unique(mesh.boundary_edges)].T)
         off = np.abs(r - mesh.radius)
         if off.max() > CIRCLE_TOL * mesh.radius:
             k = int(np.argmax(off))

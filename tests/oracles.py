@@ -1,5 +1,6 @@
-"""Test references, one copy each: fixture meshes, independent oracles, the
-seeded temporal-order measurement and the manufactured-residual check.
+"""Test references, one copy each: fixture meshes, step matrices, independent
+oracles, the seeded temporal-order measurement and the manufactured-residual
+check.
 
 The brute-force P1 assembly, the BDF coefficient expansions and the
 finite-difference residual of a manufactured solution are derived
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 from chdbc import analysis, assembly
 from chdbc.integrator import Stepper, bdf_scheme, step_count
 from chdbc.problems import ProblemSpec
-from chdbc.saddle import build_step_matrix
+from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 UNIT_TRIANGLE = """\
 MESH v1
@@ -57,6 +58,12 @@ def scalar_step_matrix(m, a, ratio):
     """The step matrix of the 1x1 system M = [m], A = [a]."""
     return build_step_matrix(sp.csr_matrix(np.array([[m]])),
                              sp.csr_matrix(np.array([[a]])), ratio, np.arange(1))
+
+
+def disk_step_matrix(mesh, ratio):
+    """M, A and the step matrix K at delta0/tau = ratio, in the solver's order."""
+    M, A = assembly.assemble_mass(mesh), assembly.assemble_stiffness(mesh)
+    return M, A, build_step_matrix(M, A, ratio, nested_dissection_order(mesh.nodes, M))
 
 
 # --- brute-force P1 assembly: edge-midpoint quadrature, exact for the

@@ -320,14 +320,20 @@ def test_a_refused_command_exits_before_any_work(tmp_path, capsys, monkeypatch,
      "chdbc convergence: error: cannot allocate the diagnostics of 1e+300 time levels"),
     ("evolve --T 1e9 --tau 1e-9 --out run",
      "chdbc evolve: error: cannot allocate the diagnostics of 1e+18 time levels"),
+    # a disk too large for doubles: its triangle areas overflow
+    ("evolve --nodes 20 --radius 1e200 --T 0.0025 --snapshots 0 --out o",
+     "chdbc evolve: error: signed area of triangle 0 overflows a double (got inf)"),
+    ("mesh --nodes 4 --radius 1e308",
+     "chdbc mesh: error: signed area of triangle 0 overflows a double (got inf)"),
 ])
-def test_a_step_count_too_large_to_hold_fails_before_the_stepper(
+def test_a_run_that_cannot_be_held_fails_before_the_stepper(
         tmp_path, capsys, monkeypatch, command, last_line):
     calls = []
     monkeypatch.setattr(cli.integrator, "Stepper", lambda *args: calls.append(args))
     monkeypatch.chdir(tmp_path)
     assert main(shlex.split(command)) == 1 and calls == []
-    assert capsys.readouterr().err.splitlines() == [last_line]
+    cap = capsys.readouterr()
+    assert cap.err.splitlines() == [last_line] and cap.out == ""
     assert os.listdir(tmp_path) == []
 
 

@@ -15,8 +15,9 @@ from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import (MANUFACTURED, ProblemSpec, evolution_problem,
                             manufactured_linear, manufactured_nonlinear,
                             zero_field, zero_map)
-from chdbc.saddle import build_step_matrix, nested_dissection_order
-from oracles import UNIT_TRIANGLE, scalar_step_matrix, seeded_temporal_eocs
+from chdbc.saddle import build_step_matrix
+from oracles import (UNIT_TRIANGLE, disk_step_matrix, scalar_step_matrix,
+                     seeded_temporal_eocs)
 
 MESH_WITH_CENTER_NODE = UNIT_TRIANGLE.replace("0.0 1.0", "0.5 0.5")
 
@@ -43,11 +44,8 @@ def test_nonlinear_step_with_zero_map_bit_matches_linear(monkeypatch):
     monkeypatch.setattr(assembly, "nonlinearity_vector",
                         lambda *a: calls.append(a) or nonlinearity_vector(*a))
     mesh = generate_disk_mesh(20, 1.0)
-    M = assembly.assemble_mass(mesh)
-    A = assembly.assemble_stiffness(mesh)
     scheme = bdf_scheme(3)
-    K = build_step_matrix(M, A, scheme.delta[0] / 0.01,
-                          nested_dissection_order(mesh.nodes, M))
+    M, _, K = disk_step_matrix(mesh, scheme.delta[0] / 0.01)
     rng = np.random.default_rng(1)
     hist = [rng.standard_normal(mesh.node_count) for _ in range(3)]
     b1 = rng.standard_normal(mesh.node_count)
@@ -65,11 +63,8 @@ def test_nonlinear_step_with_zero_map_bit_matches_linear(monkeypatch):
 
 def test_constant_history_kills_double_well_term():
     mesh = generate_disk_mesh(20, 1.0)
-    M = assembly.assemble_mass(mesh)
-    A = assembly.assemble_stiffness(mesh)
     scheme = bdf_scheme(3)
-    K = build_step_matrix(M, A, scheme.delta[0] / 0.01,
-                          nested_dissection_order(mesh.nodes, M))
+    M, _, K = disk_step_matrix(mesh, scheme.delta[0] / 0.01)
     ones = np.ones(mesh.node_count)
     hist = [ones, ones, ones]
     b1 = np.zeros(mesh.node_count)
@@ -466,21 +461,11 @@ def _same_csr(a, b):
 
 @pytest.mark.parametrize("problem", [manufactured_linear(), evolution_problem()],
                          ids=["forced", "unforced"])
-def test_stepper_mass_is_the_one_assemble_mass(monkeypatch, problem):
-    # the solver steps with the very matrix the brute-force oracle checks; a
-    # forced Stepper sums the parts it holds, as assemble_mass does
-    assemble_mass, built = assembly.assemble_mass, []
-
-    def recording(mesh):
-        built.append(assemble_mass(mesh))
-        return built[-1]
-
-    monkeypatch.setattr(assembly, "assemble_mass", recording)
+def test_stepper_mass_is_the_one_assemble_mass(problem):
+    # the solver steps with the very matrix the brute-force oracle checks
     mesh = generate_disk_mesh(160, 1.0)
     stepper = Stepper(problem, mesh, 0.01, bdf_scheme(2))
-    if stepper.M_bulk is None:
-        assert len(built) == 1 and stepper.M is built[0]
-    assert _same_csr(stepper.M, assemble_mass(mesh))
+    assert _same_csr(stepper.M, assembly.assemble_mass(mesh))
 
 
 def test_a_forced_stepper_holds_the_assembled_mass_parts_bitwise(monkeypatch):

@@ -40,6 +40,7 @@ def test_five_node_mesh_is_the_minimal_ring():
     (20, 1.0), (40, 1.0), (80, 1.0), (160, 1.0), (320, 1.0),
     (640, 10.0),   # the evolution experiment mesh
     (1280, 1.0), (2560, 1.0),
+    (2000, 1.5e154),  # its squared radius overflows a double, its areas do not
 ])
 def test_node_counts_within_15_percent(target, radius):
     m = generate_disk_mesh(target, radius)
@@ -424,6 +425,17 @@ def test_validate_rejects_a_non_finite_node(value):
                     boundary_edges=m.boundary_edges, radius=1.0)
     with pytest.raises(ValueError, match="node 7 has a non-finite coordinate"):
         validate_mesh(broken)
+
+
+def test_validate_rejects_an_area_that_overflows_a_double():
+    # the 20-node unit disk scaled by 1e200, with no RADIUS line: its areas
+    # overflow to inf, and to NaN where two infinite products cancel
+    m = generate_disk_mesh(20, 1.0)
+    scaled = Mesh2D(nodes=m.nodes * 1e200, triangles=m.triangles,
+                    boundary_edges=m.boundary_edges)
+    with pytest.raises(ValueError, match=re.escape(
+            "signed area of triangle 0 overflows a double (got inf)")):
+        validate_mesh(scaled)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])

@@ -7,18 +7,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chdbc import integrator
-from chdbc.assembly import assemble_mass, assemble_stiffness
+from chdbc.assembly import assemble_mass
 from chdbc.mesh import Mesh2D, disjoint_union, generate_disk_mesh
 from chdbc.problems import evolution_problem, manufactured_linear
 from chdbc import saddle
 from chdbc.saddle import PANEL_SIZE, build_step_matrix, nested_dissection_order
-from oracles import scalar_step_matrix
-
-
-def _disk_step_matrix(mesh, ratio):
-    M = assemble_mass(mesh)
-    return build_step_matrix(M, assemble_stiffness(mesh), ratio,
-                             nested_dissection_order(mesh.nodes, M))
+from oracles import disk_step_matrix, scalar_step_matrix
 
 
 def test_scalar_block_layouts():
@@ -36,24 +30,17 @@ def test_scalar_solves():
     np.testing.assert_array_equal(K.solve(np.zeros(2)), np.zeros(2))
 
 
-# BDF3 (delta0 = 11/6) at each experiment tau on a ones right-hand side, and
-# delta0/tau = 400 (BDF1 at tau = 0.0025) on a random one
-@pytest.mark.parametrize("nodes, ratio, seed", [
-    *((40, 11.0 / 6.0 / tau, None) for tau in (0.025, 0.0125, 0.005, 0.0025)),
-    (80, 400.0, 2),
-], ids=["0.025", "0.0125", "0.005", "0.0025", "random-rhs"])
-def test_nonsingular_for_experiment_step_sizes(nodes, ratio, seed):
-    mesh = generate_disk_mesh(nodes, 1.0)
-    K = _disk_step_matrix(mesh, ratio)
-    n = 2 * mesh.node_count
-    rhs = np.ones(n) if seed is None else np.random.default_rng(seed).standard_normal(n)
-    x = K.solve(rhs)
-    assert np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max() <= 1e-10
-
-
-def test_factorization_happens_once(monkeypatch):
+@pytest.mark.parametrize("k, start_mode, step_counts, factorizations", [
+    (1, "exact", (4, 40), 1),
+    (3, "bootstrap", (4, 40), 2),
+    (3, "exact", (2,), 0),
+    (3, "bootstrap", (2,), 1),
+], ids=["k1-exact", "k3-bootstrap", "k3-exact-starts-only", "k3-bootstrap-starts-only"])
+def test_factorizations_per_run(monkeypatch, k, start_mode, step_counts,
+                                factorizations):
     # run() factorizes as often for 40 steps as for 4: once for the main
-    # loop, plus once for the BDF1 substeps of a k > 1 bootstrap
+    # loop, plus once for the BDF1 substeps of a k > 1 bootstrap. With
+    # n_steps = k - 1 no step reads the main step matrix, so it is never built.
     calls = []
 
     def counting(*args):
@@ -62,44 +49,21 @@ def test_factorization_happens_once(monkeypatch):
 
     monkeypatch.setattr(integrator, "build_step_matrix", counting)
     mesh = generate_disk_mesh(40, 1.0)
-    for k, start_mode, expected in ((1, "exact", 1), (3, "bootstrap", 2)):
-        counts = []
-        for n_steps in (4, 40):
-            calls.clear()
-            integrator.run(manufactured_linear(), mesh, 0.01, n_steps * 0.01,
-                           integrator.bdf_scheme(k), start_mode=start_mode)
-            counts.append(len(calls))
-        assert counts == [expected, expected]
-
-
-def test_no_main_factorization_when_the_starting_values_fill_the_run(monkeypatch):
-    # n_steps = k - 1: no step reads the main step matrix, so it is never
-    # built; a bootstrap still factorizes its BDF1 matrix once
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return build_step_matrix(*args)
-
-    monkeypatch.setattr(integrator, "build_step_matrix", counting)
-    mesh = generate_disk_mesh(40, 1.0)
-    for start_mode, expected in (("exact", 0), ("bootstrap", 1)):
+    for n_steps in step_counts:
         calls.clear()
-        traj = integrator.run(manufactured_linear(), mesh, 0.01, 0.02,
-                              integrator.bdf_scheme(3), start_mode=start_mode)
-        assert len(traj.times) == 3
-        assert len(calls) == expected, start_mode
+        traj = integrator.run(manufactured_linear(), mesh, 0.01, n_steps * 0.01,
+                              integrator.bdf_scheme(k), start_mode=start_mode)
+        assert len(traj.times) == n_steps + 1
+        assert len(calls) == factorizations, n_steps
 
 
 def test_rejects_bad_inputs():
     mesh = generate_disk_mesh(20, 1.0)
-    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
-    order = nested_dissection_order(mesh.nodes, M)
+    M, A, K = disk_step_matrix(mesh, 1.0)
     with pytest.raises(ValueError):
-        build_step_matrix(M, A, 0.0, order)
+        build_step_matrix(M, A, 0.0, K._order)
     with pytest.raises(ValueError):
-        build_step_matrix(M, sp.identity(3, format="csr"), 1.0, order)
-    K = build_step_matrix(M, A, 1.0, order)
+        build_step_matrix(M, sp.identity(3, format="csr"), 1.0, K._order)
     bad = np.zeros(2 * mesh.node_count)
     bad[3] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
@@ -110,7 +74,7 @@ def test_rejects_bad_inputs():
 
 def test_concurrent_style_solves_do_not_interfere():
     mesh = generate_disk_mesh(20, 1.0)
-    K = _disk_step_matrix(mesh, 50.0)
+    _, _, K = disk_step_matrix(mesh, 50.0)
     rng = np.random.default_rng(0)
     rhs_a = rng.standard_normal(2 * mesh.node_count)
     rhs_b = rng.standard_normal(2 * mesh.node_count)
@@ -258,7 +222,7 @@ def test_the_level_synchronous_dissection_equals_the_recursive_rule(mesh):
 def test_nested_dissection_fill_bound():
     # L+U complex entries of the default evolve step on 2560 nodes: 136 074
     # with 32-node leaves and one lower-side separator along the longer axis
-    K = _disk_step_matrix(generate_disk_mesh(2560, 10.0), 800.0)
+    _, _, K = disk_step_matrix(generate_disk_mesh(2560, 10.0), 800.0)
     assert K._lu.L.nnz + K._lu.U.nnz <= 125_000
 
 
@@ -268,7 +232,7 @@ def test_nested_dissection_fills_less_than_the_default_ordering(delta0_over_tau)
     # small-tau step scales, where unscaled threshold pivoting left the
     # diagonal and filled more than the default ordering. Both sides count
     # stored reals: an entry of the complex LU holds two.
-    K = _disk_step_matrix(generate_disk_mesh(2560, 10.0), delta0_over_tau)
+    _, _, K = disk_step_matrix(generate_disk_mesh(2560, 10.0), delta0_over_tau)
     default = spla.splu(K.matrix)
     reals = K._lu.L.dtype.itemsize // default.L.dtype.itemsize
     assert (reals * (K._lu.L.nnz + K._lu.U.nnz)
@@ -284,9 +248,8 @@ def test_the_natural_ordering_implies_superlus_symmetric_mode(refinements,
     # the 640-node evolve mesh, so a SciPy that stops implying it fails here.
     mesh = (generate_disk_mesh(640, 10.0) if refinements is None else
             disjoint_union([generate_disk_mesh(2 ** i * 10, 1.0) for i in refinements]))
-    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
-    order = nested_dissection_order(mesh.nodes, M)
-    lu = build_step_matrix(M, A, delta0_over_tau, order)._lu
+    M, A, K = disk_step_matrix(mesh, delta0_over_tau)
+    lu, order = K._lu, K._order
     permuted = sp.csc_matrix(
         sp.csr_matrix(M - 1j * delta0_over_tau ** -0.5 * A)[order][:, order])
     spelled = spla.splu(permuted, permc_spec="NATURAL",
@@ -299,13 +262,22 @@ def test_the_natural_ordering_implies_superlus_symmetric_mode(refinements,
     assert np.array_equal(lu.perm_c, spelled.perm_c)
 
 
-@pytest.mark.parametrize("delta0_over_tau", [1e-3, 0.1, 10.0, 800.0, 1e7])
-def test_ordered_solve_residual_over_step_scales(delta0_over_tau):
-    mesh = generate_disk_mesh(2560, 1.0)
-    K = _disk_step_matrix(mesh, delta0_over_tau)
-    rhs = np.random.default_rng(5).standard_normal(2 * mesh.node_count)
+# BDF3 (delta0 = 11/6) at each experiment tau on a ones right-hand side,
+# delta0/tau = 400 (BDF1 at tau = 0.0025) on a random one, and the step
+# scales from 1e-3 to 1e7 on a random one
+@pytest.mark.parametrize("nodes, ratio, seed, tol", [
+    *((40, 11.0 / 6.0 / tau, None, 1e-10) for tau in (0.025, 0.0125, 0.005, 0.0025)),
+    (80, 400.0, 2, 1e-10),
+    *((2560, ratio, 5, 1e-9) for ratio in (1e-3, 0.1, 10.0, 800.0, 1e7)),
+], ids=["bdf3-0.025", "bdf3-0.0125", "bdf3-0.005", "bdf3-0.0025", "random-rhs",
+        "2560-1e-3", "2560-0.1", "2560-10", "2560-800", "2560-1e7"])
+def test_ordered_solve_residual_over_step_scales(nodes, ratio, seed, tol):
+    mesh = generate_disk_mesh(nodes, 1.0)
+    _, _, K = disk_step_matrix(mesh, ratio)
+    n = 2 * mesh.node_count
+    rhs = np.ones(n) if seed is None else np.random.default_rng(seed).standard_normal(n)
     x = K.solve(rhs)
-    assert np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max() <= 1e-9
+    assert np.abs(K.matrix @ x - rhs).max() / np.abs(rhs).max() <= tol
 
 
 @pytest.mark.parametrize("delta0_over_tau", [1e-3, 800.0, 1e7])
@@ -313,9 +285,7 @@ def test_complex_solve_matches_the_block_matrix(delta0_over_tau):
     # each block row is checked on its own, so a sign flip of i s A or a
     # missing s on u shows in the row it breaks
     mesh = generate_disk_mesh(2560, 1.0)
-    M, A = assemble_mass(mesh), assemble_stiffness(mesh)
-    K = build_step_matrix(M, A, delta0_over_tau,
-                          nested_dissection_order(mesh.nodes, M))
+    M, A, K = disk_step_matrix(mesh, delta0_over_tau)
     rng = np.random.default_rng(9)
     b1, b2 = rng.standard_normal((2, mesh.node_count))
     rhs = np.concatenate([b1, b2])
@@ -330,7 +300,7 @@ def test_complex_solve_matches_the_block_matrix(delta0_over_tau):
 def test_step_matrix_holds_no_block_matrix():
     # K is built on demand from M and A, which the stepper already holds
     mesh = generate_disk_mesh(320, 1.0)
-    K = _disk_step_matrix(mesh, 800.0)
+    _, _, K = disk_step_matrix(mesh, 800.0)
     held = list(vars(K).values())
     held += [c.cell_contents for v in held
              for c in getattr(v, "__closure__", None) or ()]

@@ -83,6 +83,11 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     # step counts (1e300 and 1e18) too large for the per-level diagnostics
     ("convergence-tau-1e-300", ["convergence", "--problem", "linear", "--tau", "1e-300"]),
     ("evolve-1e18-steps", ["evolve", "--T", "1e9", "--tau", "1e-9", "--out", "out"]),
+    # disks too large for doubles: their triangle areas overflow
+    ("evolve-radius-1e200",
+     ["evolve", "--nodes", "20", "--radius", "1e200", "--T", "0.0025", "--snapshots", "0",
+      "--out", "out"]),
+    ("mesh-radius-1e308", ["mesh", "--nodes", "4", "--radius", "1e308"]),
 )
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
