@@ -74,11 +74,12 @@ def final_error(problem: ProblemSpec, mesh: Mesh2D, t: float, u: np.ndarray,
 def eoc(errors: Sequence[float], hs: Sequence[float]) -> List[Optional[float]]:
     """Experimental orders log(e_i/e_{i+1}) / log(h_i/h_{i+1}).
 
-    A zero error makes the order undefined; those entries are None rather
-    than +/-inf so downstream tables can print a sentinel.
+    One error gives no order, []. A zero error makes the order undefined;
+    those entries are None rather than +/-inf so downstream tables can print
+    a sentinel.
     """
-    if len(errors) != len(hs) or len(errors) < 2:
-        raise ValueError("need equally long error/h lists with >= 2 entries")
+    if len(errors) != len(hs) or not errors:
+        raise ValueError("need equally long, non-empty error/h lists")
     if any(e < 0 for e in errors) or any(h <= 0 for h in hs):
         raise ValueError("errors must be nonnegative and hs positive")
     if any(h1 <= h2 for h1, h2 in zip(hs, hs[1:])):

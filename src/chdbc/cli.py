@@ -20,11 +20,8 @@ import numpy as np
 
 from . import analysis, integrator, mesh as meshmod, problems
 
-# Node counts follow the 2^i * 10 refinement ladder.
-REFINEMENT_BASE = 10
 DEFAULT_TAUS = (0.025, 0.0125, 0.005, 0.0025)
 DEFAULT_SNAPSHOT_TIMES = (0.0, 0.5, 1.0, 2.0, 3.0)
-EOC_SENTINEL = "NA"
 
 
 def _csv(header: str, *columns: np.ndarray) -> str:
@@ -185,8 +182,9 @@ def cmd_convergence(args, parser) -> int:
     _check_out_file(args.out)
     problem = problems.MANUFACTURED[args.problem]()
     scheme = integrator.bdf_scheme(args.k)
-    # the manufactured forcings are derived on the unit disk
-    meshes = [(i, meshmod.generate_disk_mesh(2 ** i * REFINEMENT_BASE, 1.0))
+    # refinement i has 2^i * 10 nodes on the unit disk, where the
+    # manufactured forcings are derived
+    meshes = [(i, meshmod.generate_disk_mesh(2 ** i * 10, 1.0))
               for i in sorted(set(args.refinements))]
     hs = [meshmod.mesh_size(m) for _, m in meshes]
     # All refinements step together on their disjoint union: no triangle
@@ -203,17 +201,11 @@ def cmd_convergence(args, parser) -> int:
         reports = [analysis.final_error(problem, m, traj.times[-1],
                                         traj.u_final[p], traj.w_final[p])
                    for p, (_, m) in zip(parts, meshes)]
-        if len(reports) >= 2:
-            orders_l2 = [None] + analysis.eoc([r.err_L2 for r in reports], hs)
-            orders_h1 = [None] + analysis.eoc([r.err_H1 for r in reports], hs)
-        else:
-            orders_l2 = orders_h1 = [None]
+        orders_l2 = [None] + analysis.eoc([r.err_L2 for r in reports], hs)
+        orders_h1 = [None] + analysis.eoc([r.err_H1 for r in reports], hs)
         for (i, m), h, rep, o2, o1 in zip(meshes, hs, reports, orders_l2, orders_h1):
-            rows.append([
-                i, m.node_count, h, tau, rep.err_L2, rep.err_H1,
-                EOC_SENTINEL if o2 is None else o2,
-                EOC_SENTINEL if o1 is None else o1,
-            ])
+            rows.append([i, m.node_count, h, tau, rep.err_L2, rep.err_H1,
+                         "NA" if o2 is None else o2, "NA" if o1 is None else o1])
     # as objects, the ints, floats and NA keep their own types
     _emit(args.out, meshmod.render_rows(np.array(rows, dtype=object), ","))
     return 0

@@ -122,7 +122,11 @@ def bdf_step(problem: ProblemSpec, scheme: BDFScheme, K: StepMatrix, M,
     tail = sum((d * u for d, u in zip(scheme.delta[2:], recent[1:])),
                scheme.delta[1] * recent[0])
     inv_tau = K.delta0_over_tau / scheme.delta[0]
-    u, w = K.solve(np.concatenate([b1 - inv_tau * (M @ tail), b2])).reshape(2, -1)
+    # a disk whose areas fit in a double can still overflow M u / tau here;
+    # K.solve refuses the non-finite right-hand side
+    with np.errstate(over="ignore", invalid="ignore"):
+        b1 = b1 - inv_tau * (M @ tail)
+    u, w = K.solve(np.concatenate([b1, b2])).reshape(2, -1)
     if not np.isfinite(u).all():
         raise ValueError("non-finite solution; the extrapolated scheme is "
                          "likely outside its stability region")

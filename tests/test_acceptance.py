@@ -19,9 +19,8 @@ from chdbc.problems import (
     manufactured_linear,
     manufactured_nonlinear,
 )
-from chdbc.saddle import build_step_matrix, nested_dissection_order
 from oracles import (UNIT_SQUARE, brute_force_mass, brute_force_stiffness,
-                     disk_points, oracle_delta, oracle_gamma,
+                     disk_points, disk_step_matrix, oracle_delta, oracle_gamma,
                      seeded_temporal_eocs, verify_manufactured)
 
 SWEEP_TAU = 0.0025  # the last of the default step sizes
@@ -168,10 +167,7 @@ def test_criterion_7_oracle_equivalence():
     a_hand_err = np.abs(A - A_hand).max()
 
     mesh = generate_disk_mesh(20, 1.0)
-    M_mesh = assembly.assemble_mass(mesh)
-    K = build_step_matrix(M_mesh, assembly.assemble_stiffness(mesh),
-                          bdf_scheme(3).delta[0] / SWEEP_TAU,
-                          nested_dissection_order(mesh.nodes, M_mesh))
+    _, _, K = disk_step_matrix(mesh, bdf_scheme(3).delta[0] / SWEEP_TAU)
     dense = K.matrix.toarray()
     rng = np.random.default_rng(123)
     solve_err = 0.0

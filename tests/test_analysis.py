@@ -73,11 +73,12 @@ def test_eoc_examples():
     assert eoc([0.1, 0.05], [0.2, 0.1]) == [pytest.approx(1.0)]
     assert eoc([0.3, 0.3], [0.2, 0.1]) == [pytest.approx(0.0)]
     assert eoc([0.1, 0.0], [0.2, 0.1]) == [None]
+    assert eoc([0.1], [0.2]) == []  # one refinement has no order
 
 
 def test_eoc_validation():
     with pytest.raises(ValueError):
-        eoc([0.1], [0.2])
+        eoc([], [])
     with pytest.raises(ValueError):
         eoc([0.1, 0.2], [0.1, 0.2])
     with pytest.raises(ValueError):

@@ -144,24 +144,6 @@ def test_stiffness_kernel_is_constants():
     assert (w < 1e-10).sum() == 1  # exactly span{1}
 
 
-def test_matvec_agrees_with_dense():
-    mesh = generate_disk_mesh(40, 1.0)
-    M = assemble_mass(mesh)
-    dense = M.toarray()
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        v = rng.standard_normal(mesh.node_count)
-        np.testing.assert_allclose(M @ v, dense @ v, rtol=1e-13, atol=1e-15)
-
-
-def test_assembly_is_reproducible():
-    mesh = generate_disk_mesh(80, 1.0)
-    a = assemble_mass(mesh)
-    b = assemble_mass(mesh)
-    assert (a != b).nnz == 0
-    assert np.array_equal(a.data, b.data)
-
-
 @pytest.mark.parametrize("refinements", [(1, 2, 3, 4, 5), (1, 3, 6)])
 @pytest.mark.parametrize("assemble", [assemble_mass, assemble_stiffness])
 def test_a_part_of_a_disjoint_union_assembles_the_unions_diagonal_block(

@@ -85,13 +85,6 @@ def test_concurrent_style_solves_do_not_interfere():
     assert not np.array_equal(xa1, xb)
 
 
-@pytest.mark.parametrize("nodes", [20, 320, 2560])
-def test_nested_dissection_order_is_a_permutation(nodes):
-    mesh = generate_disk_mesh(nodes, 1.0)
-    order = nested_dissection_order(mesh.nodes, assemble_mass(mesh))
-    np.testing.assert_array_equal(np.sort(order), np.arange(mesh.node_count))
-
-
 def test_no_edge_joins_the_halves_of_the_top_level_split():
     # The top-level split of n nodes numbers the rest of its lower half
     # first, then its upper half (n - n//2 nodes), then its separator of s
@@ -114,38 +107,6 @@ def test_no_edge_joins_the_halves_of_the_top_level_split():
     upper = mesh.nodes[order[n // 2 - s:n - s]]
     rest = mesh.nodes[np.concatenate([order[:n // 2 - s], order[n - s:]])]
     assert any(rest[:, axis].max() <= upper[:, axis].min() for axis in (0, 1))
-
-
-@pytest.mark.parametrize("parts", [[(20, 1.0), (80, 1.0)],
-                                   [(160, 1.0), (40, 10.0), (320, 2.0)]])
-def test_a_disjoint_union_is_ordered_part_by_part(parts):
-    # no edge spans the index where a part ends, so each part is dissected
-    # on its own and gets its standalone order, offset by its first index
-    meshes = [generate_disk_mesh(n, r) for n, r in parts]
-    union = disjoint_union(meshes)
-    order = nested_dissection_order(union.nodes, assemble_mass(union))
-    first, expected = 0, []
-    for m in meshes:
-        expected.append(nested_dissection_order(m.nodes, assemble_mass(m)) + first)
-        first += m.node_count
-    assert np.array_equal(order, np.concatenate(expected))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_relabelled_connected_mesh_has_no_cut(seed):
-    mesh = generate_disk_mesh(320, 1.0)
-    n = mesh.node_count
-    label = np.random.default_rng(seed).permutation(n)
-    relabelled = Mesh2D(nodes=mesh.nodes[np.argsort(label)],
-                        triangles=label[mesh.triangles],
-                        boundary_edges=label[mesh.boundary_edges])
-    edges = np.sort(relabelled.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2))
-    spanned = np.zeros(n, dtype=bool)
-    for i, j in edges:
-        spanned[i:j] = True
-    assert spanned[:-1].all()  # every index below n - 1 is spanned: no cut
-    order = nested_dissection_order(relabelled.nodes, assemble_mass(relabelled))
-    np.testing.assert_array_equal(np.sort(order), np.arange(n))
 
 
 @pytest.mark.parametrize("nodes, digest", [
@@ -197,9 +158,17 @@ def _reference_order(nodes, M):
 
 
 def _relabelled(mesh, seed):
-    label = np.random.default_rng(seed).permutation(mesh.node_count)
-    return Mesh2D(nodes=mesh.nodes[np.argsort(label)], triangles=label[mesh.triangles],
-                  boundary_edges=label[mesh.boundary_edges])
+    """The mesh with its nodes renumbered at random; it must keep no cut."""
+    n = mesh.node_count
+    label = np.random.default_rng(seed).permutation(n)
+    relabelled = Mesh2D(nodes=mesh.nodes[np.argsort(label)],
+                        triangles=label[mesh.triangles],
+                        boundary_edges=label[mesh.boundary_edges])
+    spanned = np.zeros(n, dtype=bool)
+    for i, j in np.sort(relabelled.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)):
+        spanned[i:j] = True
+    assert spanned[:-1].all()  # every index below n - 1 is spanned: no cut
+    return relabelled
 
 
 @pytest.mark.parametrize("mesh", [
@@ -215,8 +184,9 @@ def test_the_level_synchronous_dissection_equals_the_recursive_rule(mesh):
     # the numbering must be those of the one-part-at-a-time recursion
     mesh = mesh()
     M = assemble_mass(mesh)
-    np.testing.assert_array_equal(nested_dissection_order(mesh.nodes, M),
-                                  _reference_order(mesh.nodes, M))
+    reference = _reference_order(mesh.nodes, M)
+    np.testing.assert_array_equal(np.sort(reference), np.arange(mesh.node_count))
+    np.testing.assert_array_equal(nested_dissection_order(mesh.nodes, M), reference)
 
 
 def test_nested_dissection_fill_bound():

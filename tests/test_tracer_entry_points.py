@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 from chdbc import assembly
-from chdbc.assembly import assemble_mass, assemble_stiffness
 from chdbc.integrator import bdf_scheme, run
 from chdbc.mesh import generate_disk_mesh
 from chdbc.problems import manufactured_linear
-from chdbc.saddle import build_step_matrix, nested_dissection_order
+from oracles import disk_step_matrix
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -42,9 +41,7 @@ def test_every_traced_name_resolves_in_the_package(tracing):
 
 def test_step_matrix_exposes_the_lu_and_the_block_matrix(tracing):
     mesh = generate_disk_mesh(40, 1.0)
-    M = assemble_mass(mesh)
-    K = build_step_matrix(M, assemble_stiffness(mesh), 800.0,
-                          nested_dissection_order(mesh.nodes, M))
+    _, _, K = disk_step_matrix(mesh, 800.0)
     assert K._lu.L.nnz > 0 and K._lu.U.nnz > 0
     assert tracing._lu_nnz(K) == K._lu.L.nnz + K._lu.U.nnz
     n = 2 * mesh.node_count

@@ -88,6 +88,10 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
      ["evolve", "--nodes", "20", "--radius", "1e200", "--T", "0.0025", "--snapshots", "0",
       "--out", "out"]),
     ("mesh-radius-1e308", ["mesh", "--nodes", "4", "--radius", "1e308"]),
+    # its areas fit in a double, but M u / tau of its first step does not
+    ("evolve-radius-1e154",
+     ["evolve", "--nodes", "20", "--radius", "1e154", "--T", "0.0025", "--snapshots", "0",
+      "--out", "out"]),
 )
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
