@@ -144,6 +144,14 @@ def test_stiffness_kernel_is_constants():
     assert (w < 1e-10).sum() == 1  # exactly span{1}
 
 
+def test_assembly_is_reproducible():
+    mesh = generate_disk_mesh(80, 1.0)
+    a = assemble_mass(mesh)
+    b = assemble_mass(mesh)
+    assert (a != b).nnz == 0
+    assert np.array_equal(a.data, b.data)
+
+
 @pytest.mark.parametrize("refinements", [(1, 2, 3, 4, 5), (1, 3, 6)])
 @pytest.mark.parametrize("assemble", [assemble_mass, assemble_stiffness])
 def test_a_part_of_a_disjoint_union_assembles_the_unions_diagonal_block(

@@ -6,6 +6,15 @@ import pytest
 from chdbc.integrator import bdf_scheme
 
 
+def test_known_small_orders():
+    np.testing.assert_array_equal(bdf_scheme(1).delta, [1.0, -1.0])
+    np.testing.assert_array_equal(bdf_scheme(2).delta, [1.5, -2.0, 0.5])
+    np.testing.assert_array_equal(bdf_scheme(3).delta, [11 / 6, -3.0, 1.5, -1 / 3])
+    np.testing.assert_array_equal(bdf_scheme(1).gamma, [1.0])
+    np.testing.assert_array_equal(bdf_scheme(2).gamma, [2.0, -1.0])
+    np.testing.assert_array_equal(bdf_scheme(3).gamma, [3.0, -3.0, 1.0])
+
+
 @pytest.mark.parametrize("k", range(1, 6))
 def test_consistency_identities(k):
     delta = [Fraction(f).limit_denominator(10 ** 9)

@@ -43,6 +43,15 @@ def test_convergence_row_count_and_header(tmp_path):
     assert b"\r" not in read(out)
 
 
+def test_convergence_is_deterministic(tmp_path):
+    args = ["convergence", "--problem", "nonlinear", "--refinements", "1,2",
+            "--tau", "0.005", "--T", "0.5"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert read(a) == read(b)
+
+
 def test_convergence_writes_to_stdout_without_out(capsys):
     rc = main(["convergence", "--problem", "linear", "--refinements", "1",
                "--tau", "0.025", "--T", "0.1"])
@@ -110,6 +119,26 @@ def test_mesh_large_target_is_fast(tmp_path):
                "--validate"])
     assert rc == 0
     assert time.time() - start < 10.0
+
+
+def test_evolve_is_deterministic(tmp_path):
+    args = ["evolve", "--nodes", "80", "--radius", "10", "--k", "1",
+            "--tau", "0.0125", "--T", "0.025", "--seed", "9",
+            "--snapshots", "0.025"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert read(a / "snapshot_t0.025.csv") == read(b / "snapshot_t0.025.csv")
+    assert read(a / "diagnostics.csv") == read(b / "diagnostics.csv")
+
+
+def test_evolve_seed_changes_output(tmp_path):
+    base = ["evolve", "--nodes", "80", "--radius", "10", "--k", "1",
+            "--tau", "0.0125", "--T", "0.0125", "--snapshots", "0"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(base + ["--seed", "1", "--out", str(a)]) == 0
+    assert main(base + ["--seed", "2", "--out", str(b)]) == 0
+    assert read(a / "snapshot_t0.csv") != read(b / "snapshot_t0.csv")
 
 
 @pytest.mark.parametrize("times, name", [("0,0", "0"),

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 
 from chdbc import analysis, assembly, integrator
 from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run, step_count
-from chdbc.mesh import generate_disk_mesh
+from chdbc.mesh import generate_disk_mesh, import_mesh
 from chdbc.problems import (MANUFACTURED, ProblemSpec, evolution_problem,
                             manufactured_linear, manufactured_nonlinear,
                             zero_field, zero_map)
 from chdbc.saddle import build_step_matrix
-from oracles import disk_step_matrix, scalar_step_matrix, seeded_temporal_eocs
+from oracles import (UNIT_TRIANGLE, disk_step_matrix, scalar_step_matrix,
+                     seeded_temporal_eocs)
+
+MESH_WITH_CENTER_NODE = UNIT_TRIANGLE.replace("0.0 1.0", "0.5 0.5")
 
 LINEAR = ProblemSpec()
 
@@ -100,6 +104,18 @@ def test_step_aborts_on_a_non_finite_solution():
     with pytest.raises(ValueError, match="non-finite solution"):
         bdf_step(LINEAR, bdf_scheme(1), NaNSolve(), M, [np.zeros(2)],
                  np.zeros(2), np.zeros(2))
+
+
+def test_exact_starting_values_sample_the_solution():
+    mesh = import_mesh(MESH_WITH_CENTER_NODE)
+    tau, k = 0.0025, 3
+    # (k - 1) steps: the stream holds the k exact starts and nothing else
+    stepper = Stepper(manufactured_linear(), mesh, tau, bdf_scheme(k))
+    levels = list(stepper.stream(k - 1, stepper.starts("exact")))
+    assert len(levels) == k
+    for j, (_, _, u, w) in enumerate(levels):
+        assert u[2] == pytest.approx(0.25 * math.exp(-j * tau), rel=1e-14)
+        np.testing.assert_array_equal(u, w)
 
 
 def test_exact_starts_pair_exact_u_with_u_and_exact_w_with_w_bitwise():

@@ -22,6 +22,20 @@ from chdbc.mesh import (
 from oracles import UNIT_TRIANGLE
 
 
+def test_five_node_mesh_is_the_minimal_ring():
+    m = generate_disk_mesh(5, 1.0)
+    assert m.node_count == 5
+    assert len(m.triangles) == 4
+    assert len(m.boundary_edges) == 4
+    np.testing.assert_allclose(m.nodes[0], [0.0, 0.0])
+    # boundary nodes at angles 0, pi/2, pi, 3pi/2
+    angles = np.arctan2(m.nodes[1:, 1], m.nodes[1:, 0]) % (2 * np.pi)
+    np.testing.assert_allclose(sorted(angles), [0, np.pi / 2, np.pi, 3 * np.pi / 2],
+                               atol=1e-15)
+    np.testing.assert_allclose(np.hypot(m.nodes[1:, 0], m.nodes[1:, 1]), 1.0,
+                               rtol=1e-15)
+
+
 @pytest.mark.parametrize("target,radius", [
     (20, 1.0), (40, 1.0), (80, 1.0), (160, 1.0), (320, 1.0),
     (640, 10.0),   # the evolution experiment mesh
@@ -41,6 +55,14 @@ def test_odd_targets_stay_quasi_uniform(target):
     d = p - np.roll(p, -1, axis=1)
     lengths = np.sqrt(np.einsum("tij,tij->ti", d, d))
     assert lengths.max() / lengths.min() <= 3.0
+
+
+def test_boundary_nodes_exactly_on_circle():
+    for radius in (1.0, 10.0):
+        m = generate_disk_mesh(160, radius)
+        bidx = sorted(set(m.boundary_edges.ravel()))
+        r = np.hypot(m.nodes[bidx, 0], m.nodes[bidx, 1])
+        assert np.abs(r - radius).max() <= 1e-12 * radius
 
 
 def test_rejects_tiny_targets():
@@ -207,6 +229,14 @@ def test_validate_catches_off_circle_boundary():
                     boundary_edges=m.boundary_edges, radius=1.0)
     with pytest.raises(ValueError, match="circle"):
         validate_mesh(broken)
+
+
+def test_triangles_are_counterclockwise():
+    m = generate_disk_mesh(80, 1.0)
+    p = m.nodes[m.triangles]
+    areas = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    assert (areas > 0).all()
 
 
 def _disk_variant(triangles=None, boundary_edges=None):

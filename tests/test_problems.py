@@ -99,6 +99,19 @@ def test_evolution_requires_finite_strength(strength):
         evolution_problem(strength=strength)
 
 
+def test_evolution_initial_data_is_reproducible_pm_one():
+    mesh = generate_disk_mesh(80, 1.0)
+    xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    a = evolution_problem(seed=42).u0(xs, ys, 0.0)
+    b = evolution_problem(seed=42).u0(xs, ys, 0.0)
+    np.testing.assert_array_equal(a, b)
+    assert set(np.unique(a)) <= {-1.0, 1.0}
+    c = evolution_problem(seed=43).u0(xs, ys, 0.0)
+    assert not np.array_equal(a, c)
+    # a fair draw: both phases present on 80 nodes
+    assert 0 < np.sum(a > 0) < len(a)
+
+
 def test_evolution_seed_must_fit_in_64_bits():
     evolution_problem(seed=2 ** 64 - 1)
     for seed in (-1, 2 ** 64):

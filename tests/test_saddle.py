@@ -85,6 +85,13 @@ def test_concurrent_style_solves_do_not_interfere():
     assert not np.array_equal(xa1, xb)
 
 
+@pytest.mark.parametrize("nodes", [20, 320, 2560])
+def test_nested_dissection_order_is_a_permutation(nodes):
+    mesh = generate_disk_mesh(nodes, 1.0)
+    order = nested_dissection_order(mesh.nodes, assemble_mass(mesh))
+    np.testing.assert_array_equal(np.sort(order), np.arange(mesh.node_count))
+
+
 def test_no_edge_joins_the_halves_of_the_top_level_split():
     # The top-level split of n nodes numbers the rest of its lower half
     # first, then its upper half (n - n//2 nodes), then its separator of s
@@ -107,6 +114,28 @@ def test_no_edge_joins_the_halves_of_the_top_level_split():
     upper = mesh.nodes[order[n // 2 - s:n - s]]
     rest = mesh.nodes[np.concatenate([order[:n // 2 - s], order[n - s:]])]
     assert any(rest[:, axis].max() <= upper[:, axis].min() for axis in (0, 1))
+
+
+@pytest.mark.parametrize("parts", [[(20, 1.0), (80, 1.0)],
+                                   [(160, 1.0), (40, 10.0), (320, 2.0)]])
+def test_a_disjoint_union_is_ordered_part_by_part(parts):
+    # no edge spans the index where a part ends, so each part is dissected
+    # on its own and gets its standalone order, offset by its first index
+    meshes = [generate_disk_mesh(n, r) for n, r in parts]
+    union = disjoint_union(meshes)
+    order = nested_dissection_order(union.nodes, assemble_mass(union))
+    first, expected = 0, []
+    for m in meshes:
+        expected.append(nested_dissection_order(m.nodes, assemble_mass(m)) + first)
+        first += m.node_count
+    assert np.array_equal(order, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_relabelled_connected_mesh_has_no_cut(seed):
+    relabelled = _relabelled(generate_disk_mesh(320, 1.0), seed)
+    order = nested_dissection_order(relabelled.nodes, assemble_mass(relabelled))
+    np.testing.assert_array_equal(np.sort(order), np.arange(relabelled.node_count))
 
 
 @pytest.mark.parametrize("nodes, digest", [
