@@ -37,9 +37,7 @@ def _scatter(n, conn, blocks) -> sp.csr_matrix:
     w = conn.shape[1]
     rows = np.repeat(conn, w, axis=1).ravel()
     cols = np.tile(conn, (1, w)).ravel()
-    mat = sp.csr_matrix((blocks.reshape(-1), (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    return mat
+    return sp.csr_matrix((blocks.reshape(-1), (rows, cols)), shape=(n, n))
 
 
 def assemble_bulk_mass(mesh: Mesh2D) -> sp.csr_matrix:

@@ -261,10 +261,10 @@ class Stepper:
         """Yield (n, t, u, w) for n = 0..n_steps, holding only the k newest u.
 
         `starts` supplies the first k pairs (w is None at a bootstrap level
-        0) and n_steps, at least k - 1, comes from `step_count`. The step
-        matrix is factorized once the starting values are done, after a
-        bootstrap has released its own factorization, and not at all when
-        they fill the run (n_steps = k - 1).
+        0), no fewer and no more, and n_steps, at least k - 1, comes from
+        `step_count`. The step matrix is factorized once the starting values
+        are done, after a bootstrap has released its own factorization, and
+        not at all when they fill the run (n_steps = k - 1).
         """
         k = self.scheme.k
         if n_steps < k - 1:
@@ -272,8 +272,14 @@ class Stepper:
                              f"steps the starting values of BDF{k} fill")
         recent: List[np.ndarray] = []  # newest first
         for n, (u, w) in enumerate(starts):
+            if n == k:
+                raise ValueError(f"the starting values fill more than {k} levels, "
+                                 f"but BDF{k} needs {k}")
             recent.insert(0, u)
             yield n, n * self.tau, u, w
+        if len(recent) < k:
+            raise ValueError(f"the starting values fill {len(recent)} level(s), "
+                             f"but BDF{k} needs {k}")
         if n_steps == k - 1:
             return
         K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,

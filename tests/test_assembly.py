@@ -179,15 +179,6 @@ def test_nodal_interpolate_examples(tri):
     assert v[2] == pytest.approx(0.25, rel=1e-15)
 
 
-def test_nodal_interpolate_reports_bad_node(tri):
-    def f(x, y, t):
-        with np.errstate(divide="ignore"):
-            return 1.0 / (x - 1.0)
-
-    with pytest.raises(ValueError, match="node 1"):
-        nodal_interpolate(f, tri, 0.0)
-
-
 def test_nodal_interpolate_accepts_scalar_only_fields(tri):
     import math
 
@@ -203,19 +194,6 @@ def test_nodal_interpolate_on_a_time_grid_matches_each_time_bitwise():
     assert grid.shape == (mesh.node_count, 7)
     for col, t in enumerate(times.tolist()):
         assert grid[:, col].tobytes() == nodal_interpolate(f, mesh, t).tobytes()
-
-
-def test_nodal_interpolate_on_a_time_grid_names_the_bad_node_and_time(tri):
-    # node 1 is (1, 0), node 2 is (0, 1): node 2 fails first in time
-    def f(x, y, t):
-        bad = ((x == 1.0) & (t == 0.5)) | ((y == 1.0) & (t == 0.25))
-        return np.where(bad, np.nan, x + t)
-
-    with pytest.raises(ValueError, match=r"^field returned nan at node 2, t = 0.25$"):
-        nodal_interpolate(f, tri, np.array([0.0, 0.25, 0.5]))
-    with pytest.raises(ValueError, match=r"^field returned inf at node 1, t = 0.5$"):
-        nodal_interpolate(lambda x, y, t: np.where((x == 1.0) & (t == 0.5), np.inf, y),
-                          tri, np.array([0.0, 0.5]))
 
 
 def test_time_grid_results_broadcast(tri):
@@ -263,12 +241,6 @@ def test_load_vector_examples(tri):
                                    atol=1e-16)
 
 
-def test_load_vector_dimension_mismatch(tri):
-    M = assemble_bulk_mass(tri)
-    with pytest.raises(ValueError, match="match"):
-        load_vector(M, np.zeros(5))
-
-
 def test_load_vector_linearity_sum():
     mesh = generate_disk_mesh(40, 1.0)
     M = assemble_mass(mesh)
@@ -289,10 +261,3 @@ def test_nonlinearity_vector_examples(tri):
     v = np.array([0.3, -1.2, 2.0])
     np.testing.assert_allclose(nonlinearity_vector(M, lambda u: u, v),
                                load_vector(M, v), atol=1e-16)
-
-
-def test_nonlinearity_vector_reports_bad_node(tri):
-    with pytest.raises(ValueError, match="node 2"):
-        nonlinearity_vector(assemble_bulk_mass(tri),
-                            lambda u: np.where(u > 1.5, np.nan, u),
-                            np.array([0.0, 1.0, 2.0]))

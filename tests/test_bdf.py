@@ -39,12 +39,6 @@ def test_extrapolation_reproduces_low_degree_polynomials(k):
         assert value == pytest.approx(p(tn), rel=1e-12, abs=1e-12)
 
 
-def test_order_out_of_range():
-    for bad in (0, 6, 7, -1, 9):
-        with pytest.raises(ValueError):
-            bdf_scheme(bad)
-
-
 def test_scheme_bundles_both_coefficient_sets():
     s = bdf_scheme(3)
     assert s.k == 3

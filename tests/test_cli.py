@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shlex
 import sys
@@ -68,6 +69,23 @@ def test_mesh_round_trip(tmp_path):
     mesh = import_mesh(read(out).decode())
     assert 17 <= mesh.node_count <= 23
     assert mesh.radius == 1.0
+
+
+def test_a_mesh_that_does_not_survive_its_round_trip_exits_1(capsys, monkeypatch):
+    imported = cli.meshmod.import_mesh
+
+    def node_0_moved(text):
+        m = imported(text)
+        nodes = m.nodes.copy()
+        nodes[0] += 1e-3
+        return dataclasses.replace(m, nodes=nodes)
+
+    monkeypatch.setattr(cli.meshmod, "import_mesh", node_0_moved)
+    assert main(["mesh", "--nodes", "20", "--validate"]) == 1
+    cap = capsys.readouterr()
+    assert cap.err.splitlines()[-1] == ("chdbc mesh: error: exported mesh did not survive "
+                                        "a round trip")
+    assert cap.out == ""
 
 
 def test_convergence_builds_each_refinement_mesh_once(tmp_path, monkeypatch):
@@ -234,6 +252,12 @@ REFUSALS = [
      "500002) both name snapshot_t100000"),
     ("evolve --snapshots 5 --out d", 2,
      "chdbc: error: --snapshots: time 5.0 lies outside [0, 3.0]"),
+    *((f"evolve --tau {tau} --out out", 2,
+       f"chdbc: error: evolve: tau must be positive and finite, got {got}")
+      for tau, got in (("0", "0.0"), ("-1", "-1.0"))),
+    *((f"convergence --problem linear --tau {tau} --out out", 2,
+       f"chdbc: error: convergence: tau must be positive and finite, got {tau}")
+      for tau in ("nan", "inf")),
     ("evolve --T inf --out out", 2,
      "chdbc: error: evolve: time inf is not a finite multiple of tau=0.00125"),
     ("evolve --T nan --out out", 2,

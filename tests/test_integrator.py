@@ -85,27 +85,6 @@ def test_linearly_implicit_scalar_quadratic_hand_solve():
     assert u1[0] == pytest.approx((u0 - tau * u0 ** 2) / (1 + tau), rel=1e-14)
 
 
-def test_step_requires_exact_history_length():
-    K = scalar_step_matrix(1.0, 1.0, 1.0)
-    M = sp.csr_matrix(np.array([[1.0]]))
-    with pytest.raises(ValueError, match="history"):
-        bdf_step(LINEAR, bdf_scheme(2), K, M, [np.zeros(1)], np.zeros(1),
-                 np.zeros(1))
-
-
-def test_step_aborts_on_a_non_finite_solution():
-    class NaNSolve:  # a step matrix whose solve has blown up
-        delta0_over_tau = 1.0
-
-        def solve(self, b):
-            return np.full_like(b, np.nan)
-
-    M = sp.csr_matrix(np.eye(2))
-    with pytest.raises(ValueError, match="non-finite solution"):
-        bdf_step(LINEAR, bdf_scheme(1), NaNSolve(), M, [np.zeros(2)],
-                 np.zeros(2), np.zeros(2))
-
-
 def test_exact_starting_values_sample_the_solution():
     mesh = import_mesh(MESH_WITH_CENTER_NODE)
     tau, k = 0.0025, 3
@@ -129,16 +108,6 @@ def test_exact_starts_pair_exact_u_with_u_and_exact_w_with_w_bitwise():
         assert u.tobytes() == assembly.nodal_interpolate(problem.exact_u, mesh, j * tau).tobytes()
         assert w.tobytes() == assembly.nodal_interpolate(problem.exact_w, mesh, j * tau).tobytes()
         assert not np.array_equal(u, w)
-
-
-def test_exact_mode_requires_exact_solution():
-    mesh = generate_disk_mesh(20, 1.0)
-    with pytest.raises(ValueError, match="exact"):
-        run(evolution_problem(), mesh, 0.01, 0.02, bdf_scheme(2),
-            start_mode="exact")
-    with pytest.raises(ValueError, match="mode"):
-        run(manufactured_linear(), mesh, 0.01, 0.02, bdf_scheme(2),
-            start_mode="midpoint")
 
 
 def test_bootstrap_k1_is_initial_data_without_w():
@@ -323,37 +292,6 @@ def test_temporal_self_convergence_orders(k, window):
     assert all(window[0] <= order <= window[1] for order in orders), orders
 
 
-def test_run_rejects_non_dividing_tau():
-    with pytest.raises(ValueError, match="divide"):
-        run(manufactured_linear(), generate_disk_mesh(20, 1.0), 0.3, 1.0,
-            bdf_scheme(1), start_mode="exact")
-
-
-def test_run_names_order_and_step_count_when_the_span_is_too_short():
-    # tau divides T, but BDF3 needs two steps to hold its starting values
-    with pytest.raises(ValueError, match=r"gives 1 step\(s\).*BDF3 needs at least 2"):
-        run(manufactured_linear(), generate_disk_mesh(20, 1.0), 0.5, 0.5,
-            bdf_scheme(3), start_mode="exact")
-
-
-def test_run_aborts_with_step_index_on_blowup():
-    # extrapolated k=3 far outside its stability region
-    problem = evolution_problem(seed=1)
-    mesh = generate_disk_mesh(160, 1.0)
-    with pytest.raises(RuntimeError, match="step"):
-        run(problem, mesh, 0.01, 1.0, bdf_scheme(3), start_mode="bootstrap")
-
-
-def test_bootstrap_abort_names_the_start_and_its_substep():
-    # k=3, tau=0.1: m=5 BDF1 substeps of 0.02 toward each start; the one
-    # toward step 2 (t = 0.2) diverges at its second substep, t = 0.14
-    problem = evolution_problem(strength=1000.0)
-    mesh = generate_disk_mesh(40, 10.0)
-    with pytest.raises(RuntimeError,
-                       match=r"^aborted at step 2, BDF1 substep 2 of 5 \(t = 0\.14\): "):
-        run(problem, mesh, 0.1, 1.0, bdf_scheme(3), start_mode="bootstrap")
-
-
 def test_trajectory_diagnostics_shapes():
     problem = evolution_problem(seed=2)
     mesh = generate_disk_mesh(40, 1.0)
@@ -491,14 +429,6 @@ def test_a_constant_forcing_loads_like_its_interpolant():
     assert not b2.any()
 
 
-def test_a_non_finite_forcing_aborts_naming_its_node_and_time():
-    mesh = generate_disk_mesh(40, 1.0)
-    f = lambda x, y, t: np.where((t > 0.045) & (np.arange(len(x))[:, None] == 7),
-                                 np.nan, 0.0 * x * t)
-    with pytest.raises(ValueError, match=r"field returned nan at node 7, t = 0.05\b"):
-        run(ProblemSpec(f2_surf=f), mesh, 0.01, 0.1, bdf_scheme(1), start_mode="bootstrap")
-
-
 def _recording_f1_bulk(problem, seen):
     # the problem with its f1_bulk wrapped to record every t it is given
     def f1_bulk(x, y, t):
@@ -535,12 +465,3 @@ def test_bootstrap_starts_from_u0_at_zero_and_loads_from_there_bitwise(k):
     assert k != 3 or m == 22  # two load blocks per start
     assert seen == [(j - 1) * tau + s * (tau / m)
                     for j in range(1, k) for s in range(1, m + 1)]
-
-
-@pytest.mark.parametrize("n_steps", [0, 1])
-def test_stream_refuses_fewer_steps_than_its_starting_values_fill(n_steps):
-    stepper = Stepper(manufactured_linear(), generate_disk_mesh(20, 1.0), 0.01,
-                      bdf_scheme(3))
-    levels = stepper.stream(n_steps, stepper.starts("exact"))
-    with pytest.raises(ValueError, match=rf"n_steps={n_steps} .*k - 1 = 2 .*BDF3"):
-        next(levels)

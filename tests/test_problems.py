@@ -93,12 +93,6 @@ def test_evolution_derivative_values():
     assert p.potential(0.0) == pytest.approx(10.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("strength", [0.0, math.inf, math.nan])
-def test_evolution_requires_finite_strength(strength):
-    with pytest.raises(ValueError, match="strength must be positive and finite"):
-        evolution_problem(strength=strength)
-
-
 def test_evolution_initial_data_is_reproducible_pm_one():
     mesh = generate_disk_mesh(80, 1.0)
     xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -110,13 +104,8 @@ def test_evolution_initial_data_is_reproducible_pm_one():
     assert not np.array_equal(a, c)
     # a fair draw: both phases present on 80 nodes
     assert 0 < np.sum(a > 0) < len(a)
-
-
-def test_evolution_seed_must_fit_in_64_bits():
-    evolution_problem(seed=2 ** 64 - 1)
-    for seed in (-1, 2 ** 64):
-        with pytest.raises(ValueError, match="seed"):
-            evolution_problem(seed=seed)
+    # the largest seed is taken
+    assert set(np.unique(evolution_problem(seed=2 ** 64 - 1).u0(xs, ys, 0.0))) <= {-1.0, 1.0}
 
 
 @pytest.fixture(scope="module")

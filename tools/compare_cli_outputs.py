@@ -71,6 +71,8 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("evolve-strength-inf", ["evolve", "--strength", "inf", "--out", "out"]),
     ("convergence-tau-not-dividing",
      ["convergence", "--problem", "linear", "--tau", "0.3"]),
+    # the usage line as well as the message of a non-positive step size
+    ("evolve-tau-0", ["evolve", "--tau", "0", "--out", "out"]),
     # argparse's usage line and invalid-choice message list the problem names
     ("convergence-unknown-problem", ["convergence", "--problem", "stokes"]),
     ("evolve-k3-diverges",
