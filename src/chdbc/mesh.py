@@ -30,6 +30,15 @@ class MeshFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class MeshInvariantError(ValueError):
+    """Raised by validate_mesh, naming the section at fault (RADIUS, NODES,
+    TRIANGLES or BOUNDARY_EDGES) and the row at fault, or None if no single row is."""
+
+    def __init__(self, message: str, section: str, row: Optional[int] = None):
+        self.section, self.row = section, row
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Mesh2D:
     """A triangulated planar domain with an explicit boundary polygon.
@@ -110,7 +119,7 @@ def disjoint_union(meshes: Sequence[Mesh2D]) -> Mesh2D:
 
 
 def validate_mesh(mesh: Mesh2D) -> None:
-    """Check all Mesh2D invariants, raising ValueError on the first failure.
+    """Check all Mesh2D invariants, raising MeshInvariantError on the first failure.
 
     Checks finite coordinates and a positive finite radius first (later
     checks pass NaN), then index ranges, finite and strictly positive
@@ -120,22 +129,23 @@ def validate_mesh(mesh: Mesh2D) -> None:
     """
     if not np.isfinite(mesh.nodes).all():
         k = int(np.argmin(np.isfinite(mesh.nodes).all(axis=1)))
-        raise ValueError(f"node {k} has a non-finite coordinate {mesh.nodes[k]}")
+        raise MeshInvariantError(f"node {k} has a non-finite coordinate "
+                                 f"{tuple(mesh.nodes[k].tolist())}", "NODES", k)
     if mesh.radius is not None and not math.isfinite(mesh.radius):
-        raise ValueError(f"radius must be finite, got {mesh.radius!r}")
+        raise MeshInvariantError(f"radius must be finite, got {mesh.radius!r}", "RADIUS")
     if mesh.radius is not None and mesh.radius <= 0:
-        raise ValueError(f"radius must be positive, got {mesh.radius!r}")
+        raise MeshInvariantError(f"radius must be positive, got {mesh.radius!r}", "RADIUS")
     n = mesh.node_count
     if n < 3:
-        raise ValueError("mesh needs at least 3 nodes")
-    if mesh.triangles.size == 0:
-        raise ValueError("mesh has no triangles")
-    if mesh.triangles.min() < 0 or mesh.triangles.max() >= n:
-        raise ValueError("triangle node index out of range")
-    if mesh.boundary_edges.size == 0:
-        raise ValueError("mesh has no boundary edges")
-    if mesh.boundary_edges.min() < 0 or mesh.boundary_edges.max() >= n:
-        raise ValueError("boundary edge node index out of range")
+        raise MeshInvariantError("mesh needs at least 3 nodes", "NODES")
+    for what, section, rows in (("triangle", "TRIANGLES", mesh.triangles),
+                                ("boundary edge", "BOUNDARY_EDGES", mesh.boundary_edges)):
+        if rows.size == 0:
+            raise MeshInvariantError(f"mesh has no {what}s", section)
+        if rows.min() < 0 or rows.max() >= n:
+            r = int(np.argmax(((rows < 0) | (rows >= n)).any(axis=1)))
+            raise MeshInvariantError(
+                f"{what} {r} has a node index out of range: {rows[r].tolist()}", section, r)
 
     # products of coordinates past about 1.3e154 overflow: such an area is
     # refused by name, and a NaN fails the comparison below
@@ -144,13 +154,13 @@ def validate_mesh(mesh: Mesh2D) -> None:
         h = mesh_size(mesh)
     if not np.isfinite(areas).all():
         t = int(np.argmin(np.isfinite(areas)))
-        raise ValueError(f"signed area of triangle {t} overflows a double (got {areas[t]})")
+        raise MeshInvariantError(
+            f"signed area of triangle {t} overflows a double (got {areas[t]})", "TRIANGLES", t)
     if not areas.min() > DEGENERATE_AREA_FACTOR * h * h:
         t = int(np.argmin(areas))
-        raise ValueError(
+        raise MeshInvariantError(
             f"triangle {t} is degenerate or negatively oriented "
-            f"(signed area {areas[t]:.3e})"
-        )
+            f"(signed area {areas[t]:.3e})", "TRIANGLES", t)
 
     # Undirected edge incidence: boundary edges belong to exactly one
     # triangle, interior edges to exactly two. An edge is keyed by its
@@ -164,40 +174,39 @@ def validate_mesh(mesh: Mesh2D) -> None:
         edge_keys(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])),
         return_counts=True)
     if counts.max() > 2:
-        raise ValueError("an edge is shared by more than two triangles")
+        raise MeshInvariantError("an edge is shared by more than two triangles", "TRIANGLES")
     declared = np.unique(edge_keys(mesh.boundary_edges))
     if len(declared) != len(mesh.boundary_edges):
-        raise ValueError("duplicate boundary edge")
+        raise MeshInvariantError("duplicate boundary edge", "BOUNDARY_EDGES")
     if not np.array_equal(declared, keys[counts == 1]):
-        raise ValueError(
-            "boundary_edges do not match the triangulation's exposed edges"
-        )
+        raise MeshInvariantError(
+            "boundary_edges do not match the triangulation's exposed edges", "BOUNDARY_EDGES")
 
     # Single closed cycle. The triangles at a node form fans, and each open
     # fan has two exposed rim edges, so the exposed edges at a node come in
     # pairs. Once no node has two outgoing edges, each has one incoming edge
     # too: the walk from a node returns to it, and must pass every edge.
     succ = {}
-    for i, j in mesh.boundary_edges.tolist():
+    for e, (i, j) in enumerate(mesh.boundary_edges.tolist()):
         if i in succ:
-            raise ValueError(f"boundary node {i} has two outgoing edges")
+            raise MeshInvariantError(
+                f"boundary node {i} has two outgoing edges", "BOUNDARY_EDGES", e)
         succ[i] = j
     start = int(mesh.boundary_edges[0, 0])
     node, length = succ[start], 1
     while node != start:
         node, length = succ[node], length + 1
     if length < len(succ):
-        raise ValueError("boundary edges form more than one cycle")
+        raise MeshInvariantError("boundary edges form more than one cycle", "BOUNDARY_EDGES")
 
     if mesh.radius is not None:
-        r = np.hypot(*mesh.nodes[np.unique(mesh.boundary_edges)].T)
-        off = np.abs(r - mesh.radius)
+        rim = np.unique(mesh.boundary_edges)
+        off = np.abs(np.hypot(*mesh.nodes[rim].T) - mesh.radius)
         if off.max() > CIRCLE_TOL * mesh.radius:
-            k = int(np.argmax(off))
-            raise ValueError(
-                f"boundary node off the circle by {off[k]:.3e} "
-                f"(tolerance {CIRCLE_TOL * mesh.radius:.3e})"
-            )
+            k = int(rim[np.argmax(off)])
+            raise MeshInvariantError(
+                f"boundary node {k} is off the circle by {off.max():.3e} "
+                f"(tolerance {CIRCLE_TOL * mesh.radius:.3e})", "NODES", k)
 
 
 def generate_disk_mesh(target_nodes: int, radius: float = 1.0) -> Mesh2D:
@@ -338,9 +347,21 @@ def _section_rows(keyword: str, count: int, rows, width: int, dtype,
             raise MeshFormatError(f"bad {keyword} line {content!r}", ln) from None
     else:
         r = len(rows)
-    raise MeshFormatError(
-        f"{keyword} section declares {count} rows but only {r} follow",
-        header_ln)
+    raise MeshFormatError(f"{keyword} section declares {count} rows but only {r} follow",
+                          header_ln)
+
+
+def _content_lines(lines):
+    """The (line number, content) of each line that holds more than a comment."""
+    return ((ln, c) for ln, line in enumerate(lines, 1)
+            if (c := line.partition("#")[0].strip()))
+
+
+def _line_of(text: str, section: str, row: Optional[int]) -> int:
+    """The line of `row` of `section` in a well-formed text, or of its header."""
+    content = _content_lines(text.splitlines())
+    ln = next(ln for ln, c in content if c.split()[0] == section)
+    return ln if row is None else next(islice(content, row, None))[0]
 
 
 def import_mesh(text: str) -> Mesh2D:
@@ -349,12 +370,12 @@ def import_mesh(text: str) -> Mesh2D:
     Comments (`#` to the end of a line) and blank lines are ignored. Section
     keywords must match exactly, and numbers are ASCII decimals. Raises
     MeshFormatError with a line number for malformed headers, wrong counts,
-    bad rows or indices, or any invariant violation of the parsed mesh.
+    bad rows, or any invariant violation of the parsed mesh: the line of the
+    row at fault, or of its section's header when no single row is.
     """
     lines = text.splitlines()
-    end = (len(lines), "")  # stands for the missing line after the last
-    content = ((ln, c) for ln, line in enumerate(lines, 1)
-               if (c := line.partition("#")[0].strip()))
+    end = (max(1, len(lines)), "")  # the missing line after the last
+    content = _content_lines(lines)
 
     first = next(content, end)
     if first[1] != "MESH v1":
@@ -363,9 +384,6 @@ def import_mesh(text: str) -> Mesh2D:
     radius = None
     if header[1].split()[:1] == ["RADIUS"]:
         radius = _header_value(header, "RADIUS", float)
-        if not (radius > 0) or not math.isfinite(radius):
-            raise MeshFormatError(
-                f"RADIUS must be positive and finite, got {radius!r}", header[0])
         header = next(content, end)
 
     sections = []
@@ -377,34 +395,16 @@ def import_mesh(text: str) -> Mesh2D:
             raise MeshFormatError(f"negative {keyword} count", header[0])
         # islice rejects a stop past sys.maxsize; no section outgrows the file
         rows = list(islice(content, min(count, len(lines))))
-        values = _section_rows(keyword, count, rows, width, dtype, header[0])
-        if keyword == "NODES":
-            n_nodes = len(values)
-            bad = ~np.isfinite(values).all(axis=1)
-        else:
-            bad = ((values < 0) | (values >= n_nodes)).any(axis=1)
-        if bad.any():
-            r = int(np.argmax(bad))
-            what = "non-finite value" if keyword == "NODES" else "index out of range"
-            raise MeshFormatError(
-                f"{what} in {keyword} row {r}: {rows[r][1]!r}", rows[r][0])
-        sections.append((values, header[0]))
+        sections.append(_section_rows(keyword, count, rows, width, dtype, header[0]))
         header = next(content, end)
 
     if header is not end:
-        raise MeshFormatError(
-            f"unexpected trailing content {header[1]!r}", header[0])
+        raise MeshFormatError(f"unexpected trailing content {header[1]!r}", header[0])
     del lines, content, rows
 
-    (nodes, _), (triangles, tri_ln), (edges, edge_ln) = sections
-    mesh = Mesh2D(nodes=nodes, triangles=triangles,
-                  boundary_edges=edges, radius=radius)
+    mesh = Mesh2D(*sections, radius=radius)
     try:
         validate_mesh(mesh)
-    except ValueError as exc:
-        # Structural defects are only detectable once everything is parsed;
-        # point at the section most likely at fault.
-        line = edge_ln if "boundary" in str(exc) else tri_ln
-        raise MeshFormatError(str(exc), line) from exc
+    except MeshInvariantError as exc:
+        raise MeshFormatError(str(exc), _line_of(text, exc.section, exc.row)) from exc
     return mesh
-

@@ -133,18 +133,22 @@ DISK_20 = export_mesh(generate_disk_mesh(20, 1.0))
 FUZZ_LINES = DISK_20.splitlines()
 
 # Every malformed file as (text, line, message); the error reads
-# "line {line}: {message}".
+# "line {line}: {message}". A refusal of validate_mesh names the line of the
+# row at fault, or its section's header line when no single row is.
 MALFORMED = [
+    ("", 1, "expected header 'MESH v1'"),
     ("MESH v1\nNODES 3\n0 0\n1 0\nTRIANGLES 1\n0 1 2\n", 2,
      "NODES section declares 3 rows but only 2 follow"),
     ("MESHv1\n", 1, "expected header 'MESH v1'"),
     (UNIT_TRIANGLE.replace("0 1 2", "0 1 7"), 7,
-     "index out of range in TRIANGLES row 0: '0 1 7'"),
+     "triangle 0 has a node index out of range: [0, 1, 7]"),
+    (UNIT_TRIANGLE.replace("\n2 0\n", "\n2 3\n"), 11,
+     "boundary edge 2 has a node index out of range: [2, 3]"),
     (UNIT_TRIANGLE.replace("1.0 0.0", "1.0 zero"), 4, "bad NODES line '1.0 zero'"),
-    # an open boundary cycle
-    (UNIT_TRIANGLE.replace("\n1 2\n", "\n2 1\n"), 8,
+    # an open boundary cycle: edge 2 is node 2's second outgoing edge
+    (UNIT_TRIANGLE.replace("\n1 2\n", "\n2 1\n"), 11,
      "boundary node 2 has two outgoing edges"),
-    (UNIT_TRIANGLE.replace("0.0 1.0", "2.0 0.0"), 6,
+    (UNIT_TRIANGLE.replace("0.0 1.0", "2.0 0.0"), 7,
      "triangle 0 is degenerate or negatively oriented (signed area 0.000e+00)"),
     # misspelt section keywords
     (DISK_20.replace("RADIUS", "RADIUSX", 1), 2, "expected NODES section"),
@@ -152,21 +156,35 @@ MALFORMED = [
     (DISK_20.replace("TRIANGLES", "TRIANGLES_", 1), 24, "expected TRIANGLES section"),
     (DISK_20.replace("BOUNDARY_EDGES", "BOUNDARY_EDGESZ", 1), 50,
      "expected BOUNDARY_EDGES section"),
-    *((DISK_20.replace("RADIUS 1.0", f"RADIUS {value}", 1), 2,
-       f"RADIUS must be positive and finite, got {got}")
-      for value, got in (("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-2.0", "-2.0"))),
+    *((DISK_20.replace("RADIUS 1.0", f"RADIUS {value}", 1), 2, message)
+      for value, message in (("inf", "radius must be finite, got inf"),
+                             ("nan", "radius must be finite, got nan"),
+                             ("0", "radius must be positive, got 0.0"),
+                             ("-2.0", "radius must be positive, got -2.0"))),
     (UNIT_TRIANGLE.replace("NODES 3", "NODES 3 4"), 2, "NODES expects one value"),
     (UNIT_TRIANGLE.replace("NODES 3", "NODES -1"), 2, "negative NODES count"),
+    (UNIT_TRIANGLE.replace("NODES 3", "NODES 1_0"), 2, "bad NODES value '1_0'"),
+    (DISK_20.replace("RADIUS 1.0", "RADIUS one", 1), 2, "bad RADIUS value 'one'"),
     # an empty section parses; the mesh it leaves is refused
     (UNIT_TRIANGLE.replace("TRIANGLES 1\n0 1 2\n", "TRIANGLES 0\n"), 6,
      "mesh has no triangles"),
-    ("MESH v1\nNODES 2\n0 0\n1 0\nTRIANGLES 1\n0 1 1\nBOUNDARY_EDGES 2\n0 1\n1 0\n", 5,
+    ("MESH v1\nNODES 2\n0 0\n1 0\nTRIANGLES 1\n0 1 1\nBOUNDARY_EDGES 2\n0 1\n1 0\n", 2,
      "mesh needs at least 3 nodes"),
+    # DISK_20's node 19 on line 23, triangle 5 on line 30 and boundary edge
+    # 0, 7 -> 8, on line 51; reversed, node 8 starts edges 0 and 1
+    (DISK_20.replace("0.88545602565321 -0.4647231720437684", "0.88545602565321 nan"), 23,
+     "node 19 has a non-finite coordinate (0.88545602565321, nan)"),
+    (DISK_20.replace("\n0 6 1\n", "\n0 6 6\n"), 30,
+     "triangle 5 is degenerate or negatively oriented (signed area 0.000e+00)"),
+    (DISK_20.replace("\n7 8\n", "\n8 7\n"), 52, "boundary node 8 has two outgoing edges"),
+    (DISK_20.replace("0.88545602565321 -", "0.88545702565321 -"), 23,
+     "boundary node 19 is off the circle by 8.855e-07 (tolerance 1.000e-12)"),
 ]
 
 
 @pytest.mark.parametrize("text, line, message", MALFORMED,
-                         ids=[f"line {line}: {message}" for _, line, message in MALFORMED])
+                         ids=[f"line {line}: {message}" if text else "an empty text"
+                              for text, line, message in MALFORMED])
 def test_import_names_the_line_of_a_malformed_file(text, line, message):
     with pytest.raises(MeshFormatError) as exc:
         import_mesh(text)
@@ -216,7 +234,7 @@ def test_import_of_a_mutated_file_raises_only_mesh_format_errors(text):
     try:
         import_mesh(text)
     except MeshFormatError as exc:
-        assert exc.line is not None
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
 
 
 def test_triangles_are_counterclockwise():

@@ -19,7 +19,8 @@ from chdbc.analysis import eoc, final_error, h1_norm, l2_norm
 from chdbc.assembly import (assemble_bulk_mass, load_vector, nodal_interpolate,
                             nonlinearity_vector)
 from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run
-from chdbc.mesh import Mesh2D, disjoint_union, generate_disk_mesh, import_mesh, validate_mesh
+from chdbc.mesh import (Mesh2D, MeshInvariantError, disjoint_union, generate_disk_mesh,
+                        import_mesh, validate_mesh)
 from chdbc.problems import ProblemSpec, evolution_problem, manufactured_linear
 from chdbc.saddle import build_step_matrix
 from oracles import UNIT_TRIANGLE, disk_step_matrix, scalar_step_matrix
@@ -182,66 +183,71 @@ LIBRARY_REFUSALS = [
           ("edges-1d", (np.eye(3)[:, :2], [[0, 1, 2]], [0, 1]),
            "boundary_edges must be a (b, 2) array"))),
     *((f"validate_mesh-{name}",
-       lambda args=args: validate_mesh(Mesh2D(np.eye(3)[:, :2], *args)), ValueError, message)
+       lambda args=args: validate_mesh(Mesh2D(np.eye(3)[:, :2], *args)),
+       MeshInvariantError, message)
       for name, args, message in (
           ("no-triangles", (np.empty((0, 3)), [[0, 1], [1, 2], [2, 0]]),
            "mesh has no triangles"),
           ("triangle-index-7", ([[0, 1, 7]], [[0, 1], [1, 2], [2, 0]]),
-           "triangle node index out of range"),
+           "triangle 0 has a node index out of range: [0, 1, 7]"),
           ("triangle-index-minus-1", ([[0, -1, 2]], [[0, 1], [1, 2], [2, 0]]),
-           "triangle node index out of range"),
+           "triangle 0 has a node index out of range: [0, -1, 2]"),
           ("no-boundary-edges", ([[0, 1, 2]], np.empty((0, 2))),
            "mesh has no boundary edges"),
           ("edge-index-7", ([[0, 1, 2]], [[0, 1], [1, 2], [2, 7]]),
-           "boundary edge node index out of range"),
+           "boundary edge 2 has a node index out of range: [2, 7]"),
           ("edge-index-minus-1", ([[0, 1, 2]], [[0, 1], [1, 2], [2, -1]]),
-           "boundary edge node index out of range"))),
+           "boundary edge 2 has a node index out of range: [2, -1]"))),
     # the edge incidence checks, in check order
     ("validate_mesh-triangle-twice",
      lambda: validate_mesh(with_arrays(triangles=TRIANGLE_TWICE)),
-     ValueError, "an edge is shared by more than two triangles"),
+     MeshInvariantError, "an edge is shared by more than two triangles"),
     ("validate_mesh-boundary-edge-twice",
      lambda: validate_mesh(with_arrays(edges=EDGE_TWICE)),
-     ValueError, "duplicate boundary edge"),
+     MeshInvariantError, "duplicate boundary edge"),
     ("validate_mesh-both-twice",
      lambda: validate_mesh(with_arrays(TRIANGLE_TWICE, EDGE_TWICE)),
-     ValueError, "an edge is shared by more than two triangles"),
+     MeshInvariantError, "an edge is shared by more than two triangles"),
     ("validate_mesh-boundary-edge-missing",
      lambda: validate_mesh(with_arrays(edges=DISK_80.boundary_edges[1:])),
-     ValueError, "boundary_edges do not match the triangulation's exposed edges"),
+     MeshInvariantError, "boundary_edges do not match the triangulation's exposed edges"),
     # edge 0-1 of the first fan triangle is interior
     ("validate_mesh-interior-edge-declared",
      lambda: validate_mesh(with_arrays(edges=np.vstack([DISK_80.boundary_edges[1:],
                                                         DISK_80.triangles[:1, :2]]))),
-     ValueError, "boundary_edges do not match the triangulation's exposed edges"),
+     MeshInvariantError, "boundary_edges do not match the triangulation's exposed edges"),
     # the 20-node disk's boundary runs 7 -> 8 -> 9 ..., and node 7 is (1, 0).
     # With edge 0 reversed, node 8 starts two edges.
     ("validate_mesh-reversed-boundary-edge",
      lambda: validate_mesh(replace(DISK_20, boundary_edges=np.vstack(
          [DISK_20.boundary_edges[:1, ::-1], DISK_20.boundary_edges[1:]]))),
-     ValueError, "boundary node 8 has two outgoing edges"),
+     MeshInvariantError, "boundary node 8 has two outgoing edges"),
     ("validate_mesh-two-cycles", lambda: validate_mesh(disjoint_union([DISK_20, DISK_20])),
-     ValueError, "boundary edges form more than one cycle"),
+     MeshInvariantError, "boundary edges form more than one cycle"),
     ("validate_mesh-off-circle",
      lambda: validate_mesh(with_node(DISK_20, 7, (1.0 + 1e-6, 0.0))),
-     ValueError, "boundary node off the circle by 1.000e-06 (tolerance 1.000e-12)"),
-    *((f"validate_mesh-node-7-{value}",
-       lambda value=value: validate_mesh(with_node(DISK_20, 7, (1.0, value))),
-       ValueError, f"node 7 has a non-finite coordinate {text}")
-      for value, text in ((math.nan, "[ 1. nan]"), (math.inf, "[ 1. inf]"),
-                          (-math.inf, "[  1. -inf]"))),
+     MeshInvariantError,
+     "boundary node 7 is off the circle by 1.000e-06 (tolerance 1.000e-12)"),
+    # each coordinate prints as its repr, all 17 digits of a finite one
+    *((f"validate_mesh-node-7-{name}",
+       lambda node=node: validate_mesh(with_node(DISK_20, 7, node)),
+       MeshInvariantError, f"node 7 has a non-finite coordinate {text}")
+      for name, node, text in (
+          ("nan", (1.0, math.nan), "(1.0, nan)"), ("inf", (1.0, math.inf), "(1.0, inf)"),
+          ("-inf", (1.0, -math.inf), "(1.0, -inf)"),
+          ("17-digits", (0.30901699437494745, math.inf), "(0.30901699437494745, inf)"))),
     # the 20-node unit disk scaled by 1e200, with no radius: its areas
     # overflow to inf, and to NaN where two infinite products cancel
     ("validate_mesh-area-overflow",
      lambda: validate_mesh(Mesh2D(DISK_20.nodes * 1e200, DISK_20.triangles,
                                   DISK_20.boundary_edges)),
-     ValueError, "signed area of triangle 0 overflows a double (got inf)"),
+     MeshInvariantError, "signed area of triangle 0 overflows a double (got inf)"),
     *((f"validate_mesh-radius-{r}", lambda r=r: validate_mesh(replace(DISK_20, radius=r)),
-       ValueError, f"radius must be finite, got {r}") for r in (math.nan, math.inf)),
+       MeshInvariantError, f"radius must be finite, got {r}") for r in (math.nan, math.inf)),
     # a radius <= 0 is refused by value, before the circle check could
     # misreport it as a node off the circle
     *((f"validate_mesh-radius-{r}", lambda r=r: validate_mesh(replace(DISK_20, radius=r)),
-       ValueError, f"radius must be positive, got {r}") for r in (0.0, -1.0)),
+       MeshInvariantError, f"radius must be positive, got {r}") for r in (0.0, -1.0)),
     # problems
     *((f"evolution_problem-strength-{s}", lambda s=s: evolution_problem(strength=s),
        ValueError, f"strength must be positive and finite, got {s}")
