@@ -190,8 +190,9 @@ class Stepper:
 
         The potential is interpolated at the nodes before integration,
         matching the assembly convention for nonlinear terms. A diverging
-        run overflows to inf here a step or two before the step kernel
-        aborts it, so overflow is not warned about.
+        run overflows to inf or NaN here while u is still finite, often
+        steps before the step kernel would abort; `run` aborts at that
+        level, so overflow is not warned about.
         """
         W = self.problem.potential
         with np.errstate(over="ignore", invalid="ignore"):
@@ -296,7 +297,9 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
     Each time level adds its time, mass and (when the problem has a
     potential) energy to the trajectory and is then dropped, unless its step
     index is in `keep`: those u are kept as snapshots. An index outside
-    [0, n_steps] is a ValueError, raised before anything is assembled.
+    [0, n_steps] is a ValueError, raised before anything is assembled. A
+    level whose mass or energy is not finite aborts the run with a
+    RuntimeError naming its step, as a non-finite u does.
     start_mode is 'exact' or 'bootstrap' (`Stepper.starts`). A run seeded
     with other starting values is `Stepper.stream` with those values, and
     one from a later time steps the problem shifted in time. A level count
@@ -320,6 +323,9 @@ def run(problem: ProblemSpec, mesh: Mesh2D, tau: float, T: float,
         times[n], mass[n] = t, stepper.mass(u)
         if energy is not None:
             energy[n] = stepper.energy(u)
+        for name, values in (("mass", mass), ("energy", energy)):
+            if values is not None and not isfinite(values[n]):
+                raise RuntimeError(f"aborted at step {n} (t = {t}): the {name} is {values[n]}")
         if n in keep:
             snapshots.append(u)
     return Trajectory(times=times, mass=mass, energy=energy, u_final=u,

@@ -47,9 +47,9 @@ class Mesh2D:
     ----------
     nodes : (n, 2) float array
         Vertex coordinates.
-    triangles : (t, 3) int array
+    triangles : (t, 3) int32 array
         Counterclockwise vertex index triples.
-    boundary_edges : (b, 2) int array
+    boundary_edges : (b, 2) int32 array
         Ordered index pairs tracing the closed boundary polygon.
     radius : float or None
         Disk radius when the mesh discretizes a disk; None for ad-hoc
@@ -64,8 +64,8 @@ class Mesh2D:
     def __post_init__(self):
         # own private copies so freezing them cannot alias caller arrays
         nodes = np.array(self.nodes, dtype=float, order="C")
-        tris = np.array(self.triangles, dtype=np.int64, order="C")
-        edges = np.array(self.boundary_edges, dtype=np.int64, order="C")
+        tris = _int32_rows(self.triangles, "triangles")
+        edges = _int32_rows(self.boundary_edges, "boundary_edges")
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise ValueError("nodes must be an (n, 2) array")
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -81,6 +81,21 @@ class Mesh2D:
     @property
     def node_count(self) -> int:
         return self.nodes.shape[0]
+
+
+def _int32_rows(rows, name: str) -> np.ndarray:
+    """A private C-ordered int32 copy of `rows`, refusing an index that int32
+    cannot hold where NumPy's cast would wrap it.
+
+    No mesh the solver can factorize nears 2^31 nodes, and the connectivity
+    is alive while the step matrix is factorized, at the peak of a run.
+    """
+    rows = np.asarray(rows)
+    int32 = np.iinfo(np.int32)
+    wide = (rows < int32.min) | (rows > int32.max)
+    if wide.any():
+        raise ValueError(f"{name} hold the index {rows[wide][0]}, which int32 cannot hold")
+    return np.array(rows, dtype=np.int32, order="C")
 
 
 def signed_areas(mesh: Mesh2D) -> np.ndarray:
@@ -164,10 +179,11 @@ def validate_mesh(mesh: Mesh2D) -> None:
 
     # Undirected edge incidence: boundary edges belong to exactly one
     # triangle, interior edges to exactly two. An edge is keyed by its
-    # sorted node pair, lo * n + hi.
+    # sorted node pair, lo * n + hi, in int64: in int32, lo * n overflows
+    # from 46 341 nodes on.
     def edge_keys(pairs):
         pairs = np.sort(pairs, axis=1)
-        return pairs[:, 0] * n + pairs[:, 1]
+        return pairs[:, 0].astype(np.int64) * n + pairs[:, 1]
 
     tris = mesh.triangles
     keys, counts = np.unique(
@@ -387,9 +403,10 @@ def import_mesh(text: str) -> Mesh2D:
         header = next(content, end)
 
     sections = []
+    # an index int32 cannot hold fails to parse: a bad row, named by its line
     for keyword, width, dtype in (("NODES", 2, float),
-                                  ("TRIANGLES", 3, np.int64),
-                                  ("BOUNDARY_EDGES", 2, np.int64)):
+                                  ("TRIANGLES", 3, np.int32),
+                                  ("BOUNDARY_EDGES", 2, np.int32)):
         count = _header_value(header, keyword, int)
         if count < 0:
             raise MeshFormatError(f"negative {keyword} count", header[0])

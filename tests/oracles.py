@@ -1,6 +1,6 @@
 """Test references, one copy each: fixture meshes, step matrices, independent
-oracles, the seeded temporal-order measurement and the manufactured-residual
-check.
+oracles, the seeded temporal-order measurement, the exact semi-discrete
+solution of the linear problem and the manufactured-residual check.
 
 The brute-force P1 assembly, the BDF coefficient expansions and the
 finite-difference residual of a manufactured solution are derived
@@ -15,11 +15,12 @@ from math import comb
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from chdbc import analysis, assembly
 from chdbc.integrator import Stepper, bdf_scheme, step_count
-from chdbc.problems import ProblemSpec
+from chdbc.problems import ProblemSpec, manufactured_linear
 from chdbc.saddle import build_step_matrix, nested_dissection_order
 
 UNIT_TRIANGLE = """\
@@ -163,6 +164,42 @@ def seeded_temporal_eocs(problem, mesh, k, tau_ref, t_off, taus):
             pass  # u ends as the level at t = 1
         errs.append(analysis.l2_norm(M, u - ref[-1][0]))
     return analysis.eoc(errs, taus)
+
+
+# --- the exact semi-discrete solution of the linear problem, by modes
+
+def semi_discrete_linear(mesh):
+    """t -> (u_h(t), w_h(t)), the exact solution in time of the semi-discrete
+    `manufactured_linear` on `mesh`, from u_h(0) = I_h u0.
+
+    The system is M u' + A w = b1(t), M w - A u = b2(t). Every forcing is
+    exp(-t) times a field of x and y, so b = exp(-t) beta, with beta the
+    load at t = 0. The modes A V = M V diag(lam), V^T M V = I, come from a
+    dense generalized eigensolve; in them u_h = V a and each a_i solves
+    a_i' = -lam_i^2 a_i + exp(-t) c_i, c = V^T beta1 - lam V^T beta2, in
+    closed form. Then w_h = V (lam a + exp(-t) V^T beta2). A BDF run's error
+    against it is its temporal error alone.
+    """
+    problem = manufactured_linear()
+    M_bulk = assembly.assemble_bulk_mass(mesh)
+    M_surf = assembly.assemble_surface_mass(mesh)
+    M = (M_bulk + M_surf).toarray()
+    lam, V = scipy.linalg.eigh(assembly.assemble_stiffness(mesh).toarray(), M)
+    beta1, beta2 = (M_bulk @ assembly.nodal_interpolate(bulk, mesh, 0.0)
+                    + M_surf @ assembly.nodal_interpolate(surf, mesh, 0.0)
+                    for bulk, surf in ((problem.f1_bulk, problem.f1_surf),
+                                       (problem.f2_bulk, problem.f2_surf)))
+    a0 = V.T @ (M @ assembly.nodal_interpolate(problem.u0, mesh, 0.0))
+    c, mu = V.T @ beta1 - lam * (V.T @ beta2), lam ** 2
+
+    def at(t):
+        # the forced part is c t exp(-t) phi((1 - mu) t), phi(x) = expm1(x)/x
+        x = (1.0 - mu) * t
+        phi = np.expm1(x) / np.where(x == 0.0, 1.0, x) + (x == 0.0)
+        a = np.exp(-mu * t) * a0 + c * t * np.exp(-t) * phi
+        return V @ a, V @ (lam * a + np.exp(-t) * (V.T @ beta2))
+
+    return at
 
 
 # --- strong-form residual of a manufactured solution, by finite differences

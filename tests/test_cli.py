@@ -361,15 +361,16 @@ def test_a_run_that_cannot_be_held_fails_before_the_stepper(
 
 
 # the extrapolated k = 2, 3 schemes leave their stability region, at the
-# defaults (README) and on a 160-node unit disk; a disk whose areas fit in a
-# double overflows M u / tau in its first step
+# defaults (README), on a 160-node unit disk and on a 160-node disk whose run
+# reaches T with a finite u; each stops at its first non-finite energy. A
+# disk whose areas fit in a double overflows M u / tau in its first step
 DIVERGING = [
-    ("evolve --k 2 --out run",
-     "aborted at step 73 (t = 0.09125): nonlinearity returned -inf at node 0"),
-    ("evolve --k 3 --out run",
-     "aborted at step 11 (t = 0.01375): nonlinearity returned inf at node 0"),
+    ("evolve --k 2 --out run", "aborted at step 71 (t = 0.08875): the energy is inf"),
+    ("evolve --k 3 --out run", "aborted at step 10 (t = 0.0125): the energy is inf"),
     ("evolve --nodes 160 --radius 1 --k 3 --tau 0.01 --T 0.1 --snapshots 0,0.1 --out run",
-     "aborted at step 8 (t = 0.08): nonlinearity returned -inf at node 0"),
+     "aborted at step 7 (t = 0.07): the energy is nan"),
+    ("evolve --k 3 --nodes 160 --radius 10 --tau 0.005 --T 0.05 --snapshots 0.05 --out d",
+     "aborted at step 10 (t = 0.05): the energy is nan"),
     ("evolve --nodes 20 --radius 1e154 --T 0.0025 --snapshots 0 --out o",
      "aborted at step 1 (t = 0.00125): rhs contains non-finite entries"),
 ]

@@ -18,7 +18,7 @@ from chdbc.problems import (MANUFACTURED, ProblemSpec, evolution_problem,
                             zero_field, zero_map)
 from chdbc.saddle import build_step_matrix
 from oracles import (UNIT_TRIANGLE, disk_step_matrix, scalar_step_matrix,
-                     seeded_temporal_eocs)
+                     seeded_temporal_eocs, semi_discrete_linear)
 
 MESH_WITH_CENTER_NODE = UNIT_TRIANGLE.replace("0.0 1.0", "0.5 0.5")
 
@@ -294,6 +294,41 @@ def test_temporal_self_convergence_orders(k, window):
     orders = seeded_temporal_eocs(manufactured_linear(), generate_disk_mesh(40, 1.0),
                                   k, 0.0025, 0.08, [0.04, 0.02, 0.01])
     assert all(window[0] <= order <= window[1] for order in orders), orders
+
+
+LINEAR_80 = generate_disk_mesh(80, 1.0)
+
+
+def test_the_linear_oracle_solves_the_semi_discrete_system():
+    # from I_h u0, M w - A u = b2 holds to rounding, and M u' + A w = b1 up
+    # to the central difference's error in u'
+    exact, t, d = semi_discrete_linear(LINEAR_80), 0.3, 1e-4
+    M, A = assembly.assemble_mass(LINEAR_80), assembly.assemble_stiffness(LINEAR_80)
+    b1, b2 = Stepper(manufactured_linear(), LINEAR_80, 0.1, bdf_scheme(1)).loads(
+        np.array([t]))
+    u, w = exact(t)
+    du = (exact(t + d)[0] - exact(t - d)[0]) / (2 * d)
+    assert np.abs(M @ w - A @ u - b2[:, 0]).max() <= 1e-12
+    assert np.abs(M @ du + A @ w - b1[:, 0]).max() <= 1e-8
+    u0 = assembly.nodal_interpolate(manufactured_linear().u0, LINEAR_80, 0.0)
+    assert np.abs(exact(0.0)[0] - u0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_temporal_order_from_t_0_against_the_semi_discrete_oracle(k):
+    # the temporal error alone at T = 1, from oracle starts at j tau; the
+    # orders measured were 1.01 1.01 1.00, 2.03 2.01 2.01 and 3.02 3.02 3.01
+    exact, taus = semi_discrete_linear(LINEAR_80), [0.05, 0.025, 0.0125, 0.00625]
+    M = assembly.assemble_mass(LINEAR_80)
+    errors = []
+    for tau in taus:
+        stepper = Stepper(manufactured_linear(), LINEAR_80, tau, bdf_scheme(k))
+        for _, _, u, _ in stepper.stream(step_count(tau, 1.0, k),
+                                         (exact(j * tau) for j in range(k))):
+            pass  # u ends as the level at T = 1
+        errors.append(analysis.l2_norm(M, u - exact(1.0)[0]))
+    orders = analysis.eoc(errors, taus)
+    assert all(abs(order - k) <= 0.4 for order in orders), orders
 
 
 def test_trajectory_diagnostics_shapes():

@@ -46,6 +46,24 @@ def test_node_counts_within_15_percent(target, radius):
     assert abs(m.node_count - target) <= 0.15 * target
 
 
+def test_a_disk_past_32_bit_edge_keys_validates_and_holds_int32():
+    # lo * n overflows int32 from 46 341 nodes on, and at 163 840 nodes
+    # int32 edge keys collide: the keys are formed in int64
+    m = generate_disk_mesh(163840, 10.0)
+    validate_mesh(m)
+    assert m.node_count > 46341
+    assert m.triangles.dtype == m.boundary_edges.dtype == np.int32
+
+
+def test_every_built_mesh_holds_int32_connectivity():
+    disk = generate_disk_mesh(20, 1.0)
+    for m in (disk, import_mesh(export_mesh(disk)), disjoint_union([disk, disk]),
+              Mesh2D(disk.nodes, disk.triangles.tolist(),
+                     disk.boundary_edges.astype(np.int64))):
+        assert m.triangles.dtype == m.boundary_edges.dtype == np.int32
+        assert m.triangles.flags.c_contiguous and not m.triangles.flags.writeable
+
+
 @pytest.mark.parametrize("target", [4, 7, 11, 15, 33, 57, 101, 333, 1001])
 def test_odd_targets_stay_quasi_uniform(target):
     m = generate_disk_mesh(target, 1.0)
@@ -142,6 +160,9 @@ MALFORMED = [
     ("MESHv1\n", 1, "expected header 'MESH v1'"),
     (UNIT_TRIANGLE.replace("0 1 2", "0 1 7"), 7,
      "triangle 0 has a node index out of range: [0, 1, 7]"),
+    # connectivity is int32: a wider index is a bad row, never wrapped to node 2
+    (UNIT_TRIANGLE.replace("0 1 2", "0 1 4294967298"), 7,
+     "bad TRIANGLES line '0 1 4294967298'"),
     (UNIT_TRIANGLE.replace("\n2 0\n", "\n2 3\n"), 11,
      "boundary edge 2 has a node index out of range: [2, 3]"),
     (UNIT_TRIANGLE.replace("1.0 0.0", "1.0 zero"), 4, "bad NODES line '1.0 zero'"),

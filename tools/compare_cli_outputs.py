@@ -94,6 +94,13 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("evolve-radius-1e154",
      ["evolve", "--nodes", "20", "--radius", "1e154", "--T", "0.0025", "--snapshots", "0",
       "--out", "out"]),
+    # diverges but reaches T with a finite u: its energy at T is not finite
+    ("evolve-k3-diverges-finite",
+     ["evolve", "--k", "3", "--nodes", "160", "--radius", "10", "--tau", "0.005",
+      "--T", "0.05", "--snapshots", "0.05", "--out", "out"]),
+    # one step on a connected disk where 32-bit edge keys collide
+    ("evolve-164k-one-step",
+     ["evolve", "--nodes", "163840", "--T", "0.00125", "--snapshots", "0", "--out", "out"]),
 )
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
