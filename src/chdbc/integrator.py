@@ -11,8 +11,7 @@ drives that stream into a `Trajectory` of diagnostics and kept states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, comb, inf, isfinite
+from math import ceil, comb, inf, isfinite, lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,8 +47,11 @@ def bdf_scheme(k: int) -> BDFScheme:
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_ORDER:
         raise ValueError(f"BDF order k must be an integer in [1, {MAX_ORDER}], got {k}")
     # delta(xi) = sum_{l=1..k} (1/l) (1 - xi)^l; as sum_{l=j..k} C(l, j)/l =
-    # C(k, j)/j, delta_0 = H_k and delta_j = (-1)^j C(k, j)/j for j >= 1
-    delta = [float(sum(Fraction(1, l) for l in range(1, k + 1)))]
+    # C(k, j)/j, delta_0 = H_k and delta_j = (-1)^j C(k, j)/j for j >= 1.
+    # H_k is summed exactly over the common denominator L; int / int rounds
+    # correctly, so delta_0 is the double nearest H_k.
+    L = lcm(*range(1, k + 1))
+    delta = [sum(L // l for l in range(1, k + 1)) / L]
     delta += [(-1) ** j * comb(k, j) / j for j in range(1, k + 1)]
     # gamma(xi) = (1 - (1 - xi)^k) / xi = sum_j (-1)^j C(k, j+1) xi^j
     gamma = [(-1) ** j * comb(k, j + 1) for j in range(k)]
@@ -198,6 +200,11 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(0.5 * (u @ (self.A @ u)) + self.weights @ W(u))
 
+    def _step_matrix(self, delta0: float, tau: float) -> StepMatrix:
+        # a subnormal tau overflows delta0/tau, which build_step_matrix
+        # refuses; Python's float division gives that inf without a warning
+        return build_step_matrix(self.M, self.A, float(delta0) / tau, self.order)
+
     def _march(self, K: StepMatrix, scheme: BDFScheme, recent: List[np.ndarray],
                steps: range, t0: float, dt: float, label: Optional[int] = None
                ) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray]]:
@@ -250,7 +257,7 @@ class Stepper:
         m = _bootstrap_substeps(tau, k)
         sub = tau / m
         one = bdf_scheme(1)
-        K1 = build_step_matrix(self.M, self.A, one.delta[0] / sub, self.order)
+        K1 = self._step_matrix(one.delta[0], sub)
         for j in range(1, k):
             for _, _, u, w in self._march(K1, one, [u], range(1, m + 1),
                                           (j - 1) * tau, sub, j):
@@ -283,8 +290,7 @@ class Stepper:
                              f"but BDF{k} needs {k}")
         if n_steps == k - 1:
             return
-        K = build_step_matrix(self.M, self.A, self.scheme.delta[0] / self.tau,
-                              self.order)
+        K = self._step_matrix(self.scheme.delta[0], self.tau)
         yield from self._march(K, self.scheme, recent, range(k, n_steps + 1),
                                0.0, self.tau)
 

@@ -84,13 +84,19 @@ class Mesh2D:
 
 
 def _int32_rows(rows, name: str) -> np.ndarray:
-    """A private C-ordered int32 copy of `rows`, refusing an index that int32
-    cannot hold where NumPy's cast would wrap it.
+    """A private C-ordered int32 copy of `rows`, refusing a value that is not
+    a finite integer, which NumPy's cast would truncate, and an index that
+    int32 cannot hold, which it would wrap. Integral floats such as 2.0 pass.
 
     No mesh the solver can factorize nears 2^31 nodes, and the connectivity
     is alive while the step matrix is factorized, at the peak of a run.
     """
     rows = np.asarray(rows)
+    if rows.dtype.kind == "f":
+        not_integer = ~np.isfinite(rows) | (rows != np.trunc(rows))
+        if not_integer.any():
+            raise ValueError(f"{name} hold the value {rows[not_integer][0]}, "
+                             "which is not a node index")
     int32 = np.iinfo(np.int32)
     wide = (rows < int32.min) | (rows > int32.max)
     if wide.any():
@@ -260,8 +266,11 @@ def generate_disk_mesh(target_nodes: int, radius: float = 1.0) -> Mesh2D:
     ring = np.repeat(np.arange(1, m + 1), sizes[1:])
     q = np.arange(1, n) - first[ring]
     a = 2.0 * math.pi * q / sizes[ring]
-    r = radius * ring / m
-    nodes = np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(a), r * np.sin(a)])])
+    # near the largest double, radius * j overflows on the outer rings;
+    # validate_mesh then refuses the non-finite node, and no warning is printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = radius * ring / m
+        nodes = np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(a), r * np.sin(a)])])
 
     # Outer advances of every node, then inner advances of all but the rim.
     inner = ring < m

@@ -173,8 +173,8 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
     if M.shape != A.shape or M.shape[0] != M.shape[1]:
         raise ValueError(f"M and A must be square and equal-sized, "
                          f"got {M.shape} and {A.shape}")
-    if not (delta0_over_tau > 0):
-        raise ValueError(f"delta0/tau must be positive, got {delta0_over_tau}")
+    if not 0 < delta0_over_tau < np.inf:
+        raise ValueError(f"delta0/tau must be positive and finite, got {delta0_over_tau}")
     # SuperLU keeps the order of P C P^T and pivots as the module docstring
     # says. C and its row-permuted copy are temporaries of this one
     # expression, so P C P^T is the only complex matrix left when it runs.

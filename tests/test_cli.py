@@ -1,12 +1,20 @@
+import contextlib
 import dataclasses
+import io
+import itertools
 import os
+import re
 import shlex
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chdbc import analysis, cli
 from chdbc.cli import main
@@ -348,6 +356,9 @@ def test_a_refused_command_exits_before_any_work(tmp_path, capsys, monkeypatch,
      "chdbc evolve: error: signed area of triangle 0 overflows a double (got inf)"),
     ("mesh --nodes 4 --radius 1e308",
      "chdbc mesh: error: signed area of triangle 0 overflows a double (got inf)"),
+    # radius * 2 overflows on the second ring, with no NumPy warning
+    ("mesh --nodes 14 --radius 1e308",
+     "chdbc mesh: error: node 5 has a non-finite coordinate (inf, nan)"),
 ])
 def test_a_run_that_cannot_be_held_fails_before_the_stepper(
         tmp_path, capsys, monkeypatch, command, last_line):
@@ -533,3 +544,120 @@ def test_one_mesh_convergence_table_matches_its_per_row_reference(tmp_path):
         table.append([2, m.node_count, mesh_size(m), tau, rep.err_L2, rep.err_H1,
                       "NA", "NA"])
     assert read(out) == rows_text(table).encode()
+
+
+# The CLI grammar, fuzzed in-process. Each option value is valid 3 times in 4
+# and hostile otherwise. Valid values keep a run small: at most 80 nodes per
+# mesh and 40 steps (T / tau). Hostile ones are refused before any work, or
+# are finite extremes (a radius or a strength of 1e308, 5e-324) that a run
+# must refuse or survive. `--out` is a new path, or a file where a directory
+# belongs, or "" (stdout for `convergence` and `mesh`, as documented).
+HOSTILE = ["0", "-0", "nan", "inf", "-inf", "1e308", "5e-324"]
+
+
+def _value(*valid, hostile=HOSTILE):
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(valid if i else hostile))
+
+
+def _times(*valid, hostile=()):
+    # a comma list of 1-3 valid entries, or a hostile list: empty, repeated
+    # or one hostile value
+    return _value(*(",".join(c) for c in itertools.chain.from_iterable(
+        itertools.combinations(valid, n) for n in (1, 2, 3))),
+        hostile=[*HOSTILE, "", ",", f"{valid[0]},{valid[0]}", *hostile])
+
+
+def _options(required, optional):
+    # every required (flag, values) pair, then a drawn subset of the optional
+    # ones, each with a drawn value; a value of None is a bare flag
+    pairs = st.tuples(*(st.tuples(st.just(f), v) for f, v in required),
+                      *(st.one_of(st.none(), st.tuples(st.just(f), v))
+                        for f, v in optional))
+    return pairs.map(lambda drawn: [a for pair in drawn if pair
+                                    for a in (pair[0], pair[1]) if a is not None])
+
+
+FLAG = st.just(None)
+COMMANDS = {
+    "convergence": _options(
+        [("--problem", _value("linear", "nonlinear", hostile=[*HOSTILE, "", "cubic"])),
+         ("--refinements", _times("1", "2", "3", hostile=["9", "1,1"])),
+         ("--tau", _value("0.025", "0.05", "0.1", "0.25")),
+         ("--T", _value("0.25", "0.5", "1"))],
+        [("--tau", _value("0.025", "0.05", "0.1", "0.25")),
+         ("--k", _value("1", "2", "3")),
+         ("--start-mode", _value("exact", "bootstrap"))]),
+    "evolve": _options(
+        [("--nodes", _value(*map(str, range(4, 81)))),
+         ("--tau", _value("0.00125", "0.0025", "0.005", "0.01")),
+         ("--T", _value("0.01", "0.02", "0.05")),
+         # the default times lie past every valid T
+         ("--snapshots", _times("0", "0.01"))],
+        [("--k", _value("1", "2", "3")),
+         ("--radius", _value("1", "10", "0.5")),
+         ("--seed", _value(*map(str, range(10)), hostile=[*HOSTILE, str(2 ** 64)])),
+         ("--strength", _value("1", "10")),
+         ("--vtk", FLAG)]),
+    "mesh": _options(
+        [("--nodes", _value(*map(str, range(4, 81))))],
+        [("--radius", _value("1", "10", "0.5")),
+         ("--validate", FLAG)]),
+}
+# where --out points, under a fresh directory holding one file, "blocker"
+OUTS = {"evolve": _value("out", hostile=["blocker", "blocker/out", ""]),
+        "convergence": _value("out", hostile=["blocker/out", ".", ""]),
+        "mesh": _value("out", hostile=["blocker/out", ".", ""])}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    return command, [command, *draw(COMMANDS[command])], draw(OUTS[command])
+
+
+EVOLVE_TINY = ["evolve", "--nodes", "20", "--tau", "0.01", "--T", "0.05", "--snapshots", "0,0.01"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+# the finite extremes that reach work, each with a writable --out: exit 1 from
+# the first step, from the mesh and from its generator, exit 0, and exit 1
+# from a step matrix whose delta0/tau overflows
+@example(("evolve", EVOLVE_TINY + ["--strength", "1e308"], "out"))
+@example(("evolve", EVOLVE_TINY + ["--radius", "5e-324"], "out"))
+@example(("mesh", ["mesh", "--nodes", "14", "--radius", "1e308"], "out"))
+@example(("evolve", EVOLVE_TINY + ["--strength", "5e-324", "--vtk"], "out"))
+@example(("evolve", ["evolve", "--nodes", "4", "--tau", "5e-324", "--T", "5e-324",
+                     "--snapshots", "0"], "out"))
+def test_the_cli_grammar_fuzzed(drawn):
+    command, argv, out = drawn
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "blocker").write_bytes(b"kept\n")
+        path = str(Path(root) / out) if out else ""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        # the exit code is 0, 1 or 2, and any other exception fails the test
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv + ["--out", path])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), code
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        if code == 1:
+            assert re.fullmatch(rf"chdbc {command}: error: [^\n]+\n", err), err
+        if code == 0:
+            assert err == "" or re.fullmatch(r"mesh valid: [^\n]+\n", err), err
+        written = {p.relative_to(root).as_posix(): p.read_text()
+                   for p in Path(root).rglob("*") if p.is_file()}
+        assert written.pop("blocker") == "kept\n"
+        assert not [name for name in written if name.endswith(".tmp")]
+        if code:
+            # a failed run leaves no output path
+            assert written == {} and os.listdir(root) == ["blocker"]
+        else:
+            numbers = [float(token)
+                       for text in [stdout.getvalue(), *written.values()]
+                       for token in re.split(r"[\s,]+", text)
+                       if re.fullmatch(r"[-+]?(\d|\.\d|inf|nan).*", token, re.I)]
+            assert numbers and np.isfinite(numbers).all()

@@ -1,9 +1,13 @@
 """Stdlib `ast` scans: every imported name is used in the package, the tests
 and the tools (`from __future__` imports are exempt), the package holds only
 code that it names itself, and it passes every parameter it gives a
-default."""
+default. And the import floor: `import chdbc.cli` loads nothing but chdbc
+beyond NumPy and SciPy's sparse solvers."""
 
 import ast
+import os
+import subprocess
+import sys
 from math import inf
 from pathlib import Path
 
@@ -120,3 +124,18 @@ def test_package_sets_every_parameter_it_defaults():
                for path in sorted((ROOT / "src/chdbc").glob("*.py"))}
     # the one exception: the [project.scripts] entry point calls main()
     assert [p for p in unpassed_parameters(sources) if p != "cli.py: main(argv)"] == []
+
+
+def test_the_cli_imports_nothing_beyond_numpy_and_scipy_but_chdbc():
+    # every invocation pays for what `import chdbc.cli` loads; `fractions`
+    # once brought `decimal` and `_decimal` (0.36 MB resident) for one sum
+    script = ("import sys, numpy, scipy.sparse.linalg\n"
+              "before = set(sys.modules)\n"
+              "import chdbc.cli\n"
+              "print(*sorted(set(sys.modules) - before))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    added = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split()
+    assert "chdbc.cli" in added
+    extra = [m for m in added if m.split(".")[0] != "chdbc"]
+    assert extra == [], f"import chdbc.cli also loads {extra}"

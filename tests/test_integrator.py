@@ -314,11 +314,15 @@ def test_the_linear_oracle_solves_the_semi_discrete_system():
     assert np.abs(exact(0.0)[0] - u0).max() <= 1e-14
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_temporal_order_from_t_0_against_the_semi_discrete_oracle(k):
     # the temporal error alone at T = 1, from oracle starts at j tau; the
-    # orders measured were 1.01 1.01 1.00, 2.03 2.01 2.01 and 3.02 3.02 3.01
-    exact, taus = semi_discrete_linear(LINEAR_80), [0.05, 0.025, 0.0125, 0.00625]
+    # orders measured were 1.01 1.01 1.00, 2.03 2.01 2.01, 3.02 3.02 3.01 and
+    # 4.03 4.02. BDF4's window starts at 0.025: at tau = 0.05 its steps are
+    # still in the stiff modes' initial transient (EOC 8.10). BDF5 has no
+    # window here: its error reaches the ~1e-13 solve floor first.
+    exact = semi_discrete_linear(LINEAR_80)
+    taus = [0.025, 0.0125, 0.00625] if k == 4 else [0.05, 0.025, 0.0125, 0.00625]
     M = assembly.assemble_mass(LINEAR_80)
     errors = []
     for tau in taus:

@@ -186,7 +186,13 @@ LIBRARY_REFUSALS = [
           # an int64 index past int32, which a bare cast would wrap to node 2
           ("triangle-index-2**32+2", (np.eye(3)[:, :2], np.array([[0, 1, 2 ** 32 + 2]]),
                                       [[0, 1], [1, 2], [2, 0]]),
-           "triangles hold the index 4294967298, which int32 cannot hold"))),
+           "triangles hold the index 4294967298, which int32 cannot hold"),
+          # values a bare cast would truncate to node 2 and wrap to -2**31
+          ("triangle-value-2.7", (np.eye(3)[:, :2], [[0, 1, 2.7]], [[0, 1], [1, 2], [2, 0]]),
+           "triangles hold the value 2.7, which is not a node index"),
+          ("boundary-edge-value-nan", (np.eye(3)[:, :2], [[0, 1, 2]],
+                                       [[0, 1], [1, math.nan], [2, 0]]),
+           "boundary_edges hold the value nan, which is not a node index"))),
     *((f"validate_mesh-{name}",
        lambda args=args: validate_mesh(Mesh2D(np.eye(3)[:, :2], *args)),
        MeshInvariantError, message)
@@ -261,7 +267,10 @@ LIBRARY_REFUSALS = [
        f"seed must lie in [0, 2^64), got {s}") for s in (-1, 2 ** 64)),
     # saddle
     ("build_step_matrix-ratio-0", lambda: disk_20_step_matrix(ratio=0.0), ValueError,
-     "delta0/tau must be positive, got 0.0"),
+     "delta0/tau must be positive and finite, got 0.0"),
+    # a subnormal tau: delta0/tau overflows
+    ("build_step_matrix-ratio-inf", lambda: disk_20_step_matrix(ratio=math.inf), ValueError,
+     "delta0/tau must be positive and finite, got inf"),
     ("build_step_matrix-sizes-differ",
      lambda: disk_20_step_matrix(A=sp.identity(3, format="csr")), ValueError,
      "M and A must be square and equal-sized, got (20, 20) and (3, 3)"),
