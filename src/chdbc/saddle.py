@@ -21,19 +21,45 @@ While SuperLU factorizes, the permuted M - i s A it reads is the only
 complex copy alive, and it works on panels of PANEL_SIZE columns, whose
 dense work array holds N x PANEL_SIZE complex entries. Why this is safe and
 accurate, and what it saves, is set out in the README's "Solver" section.
+
+SuperLU is SciPy's private extension module `_superlu`, loaded from its file
+and called as `scipy.sparse.linalg.splu` calls it: importing that package
+would also load all of `scipy.linalg`, 8.4 MB more resident in every run.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 LEAF_SIZE = 8
 PIVOT_THRESHOLD = 0.1
 # SuperLU's default is 20; 4 cuts the panel work with the same fill and time
-# (README "Solver"). Above 20, SciPy 1.17.1's splu corrupted its heap.
+# (README "Solver"). Above 20, SuperLU in SciPy 1.17.1 corrupted its heap.
 PANEL_SIZE = 4
+
+
+def load_superlu(directory: Path):
+    """SciPy's SuperLU extension module `_superlu` from `directory`.
+
+    It is registered as `chdbc._superlu`: under SciPy's own name it would
+    stand in `sys.modules` without the `scipy.sparse.linalg` package above it.
+    """
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_superlu{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("chdbc._superlu", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no SuperLU extension module _superlu in {directory}")
+
+
+_superlu = load_superlu(Path(sp.__file__).parent / "linalg" / "_dsolve")
 
 
 def nested_dissection_order(nodes: np.ndarray, M: sp.csr_matrix) -> np.ndarray:
@@ -180,9 +206,17 @@ def build_step_matrix(M: sp.spmatrix, A: sp.spmatrix, delta0_over_tau: float,
     # expression, so P C P^T is the only complex matrix left when it runs.
     permuted = sp.csc_matrix(
         sp.csr_matrix(M - 1j * delta0_over_tau ** -0.5 * A)[order][:, order])
+    # the call splu(permuted, permc_spec="NATURAL", ...) makes: canonical CSC,
+    # C int indices refused rather than wrapped if too large, splu's default
+    # Relax, and the SymmetricMode it implies for a natural order
+    permuted.sum_duplicates()
+    indices, indptr = sp.safely_cast_index_arrays(permuted, np.intc, "SuperLU")
     try:
-        lu = spla.splu(permuted, permc_spec="NATURAL",
-                       diag_pivot_thresh=PIVOT_THRESHOLD, panel_size=PANEL_SIZE)
+        lu = _superlu.gstrf(M.shape[0], permuted.nnz, permuted.data, indices, indptr,
+                            csc_construct_func=sp.csc_array, ilu=False,
+                            options=dict(DiagPivotThresh=PIVOT_THRESHOLD, ColPerm="NATURAL",
+                                         PanelSize=PANEL_SIZE, Relax=None,
+                                         SymmetricMode=True))
     except RuntimeError as exc:
         raise RuntimeError(
             f"step matrix factorization failed ({exc}); the mass or "

@@ -99,6 +99,21 @@ def test_final_error_measures_u_against_exact_u_and_w_against_exact_w():
     assert report.err_w_L2 == 0.0 and report.err_w_H1 == 0.0
 
 
+def test_final_error_reads_the_h1_error_of_w():
+    # a w error that is not constant has a positive stiffness part, by which
+    # the square of its H1 error exceeds that of its L2 error
+    problem = manufactured_linear()
+    mesh, T = generate_disk_mesh(40, 1.0), 0.5
+    u, w = (assembly.nodal_interpolate(f, mesh, T)
+            for f in (problem.exact_u, problem.exact_w))
+    off = w + mesh.nodes[:, 0]
+    report = final_error(problem, mesh, T, u, off)
+    ew = off - w
+    stiff = float(ew @ (assembly.assemble_stiffness(mesh) @ ew))
+    assert stiff > 0.0
+    assert report.err_w_H1 ** 2 - report.err_w_L2 ** 2 == pytest.approx(stiff, rel=1e-12)
+
+
 def test_final_error_measures_at_the_given_time():
     # the state is the exact interpolant at t = 0.37, not at a final time
     problem = manufactured_linear()

@@ -2,7 +2,7 @@
 and the tools (`from __future__` imports are exempt), the package holds only
 code that it names itself, and it passes every parameter it gives a
 default. And the import floor: `import chdbc.cli` loads nothing but chdbc
-beyond NumPy and SciPy's sparse solvers."""
+beyond NumPy and `scipy.sparse`."""
 
 import ast
 import os
@@ -10,6 +10,10 @@ import subprocess
 import sys
 from math import inf
 from pathlib import Path
+
+import scipy.sparse
+
+from chdbc import saddle
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src/chdbc", "tests", "tools")
@@ -126,10 +130,11 @@ def test_package_sets_every_parameter_it_defaults():
     assert [p for p in unpassed_parameters(sources) if p != "cli.py: main(argv)"] == []
 
 
-def test_the_cli_imports_nothing_beyond_numpy_and_scipy_but_chdbc():
-    # every invocation pays for what `import chdbc.cli` loads; `fractions`
-    # once brought `decimal` and `_decimal` (0.36 MB resident) for one sum
-    script = ("import sys, numpy, scipy.sparse.linalg\n"
+def test_the_cli_imports_nothing_beyond_numpy_and_scipy_sparse_but_chdbc():
+    # every invocation pays for what `import chdbc.cli` loads: `fractions`
+    # once brought `decimal` and `_decimal` (0.36 MB resident) for one sum,
+    # and `scipy.sparse.linalg` all of `scipy.linalg` (8.4 MB) for SuperLU
+    script = ("import sys, numpy, scipy.sparse\n"
               "before = set(sys.modules)\n"
               "import chdbc.cli\n"
               "print(*sorted(set(sys.modules) - before))\n")
@@ -139,3 +144,8 @@ def test_the_cli_imports_nothing_beyond_numpy_and_scipy_but_chdbc():
     assert "chdbc.cli" in added
     extra = [m for m in added if m.split(".")[0] != "chdbc"]
     assert extra == [], f"import chdbc.cli also loads {extra}"
+    # the one of them not from chdbc's sources: SciPy's SuperLU extension,
+    # which saddle loads by itself as `chdbc._superlu`
+    assert "chdbc._superlu" in added
+    assert (Path(saddle._superlu.__file__).parent
+            == Path(scipy.sparse.__file__).parent / "linalg" / "_dsolve")

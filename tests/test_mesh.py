@@ -140,6 +140,15 @@ def test_import_minimal_triangle_without_radius():
     assert m.node_count == 3
 
 
+def test_validate_accepts_a_thin_triangle_above_the_degenerate_area():
+    # area 5e-13 h^2 lies between the threshold, 1e-14 h^2, and 1e-10 h^2
+    thin = Mesh2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]]), [[0, 1, 2]],
+                  [[0, 1], [1, 2], [2, 0]])
+    h = mesh_size(thin)
+    assert 1e-14 * h * h < signed_areas(thin)[0] < 1e-10 * h * h
+    validate_mesh(thin)
+
+
 def test_import_tolerates_comments_and_blanks():
     text = "# a disk\n" + UNIT_TRIANGLE.replace("TRIANGLES", "\n# body\nTRIANGLES")
     m = import_mesh(text)

@@ -10,6 +10,7 @@ of `test_cli.REFUSALS`, and a malformed mesh file's those of
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run
 from chdbc.mesh import (Mesh2D, MeshInvariantError, disjoint_union, generate_disk_mesh,
                         import_mesh, validate_mesh)
 from chdbc.problems import ProblemSpec, evolution_problem, manufactured_linear
-from chdbc.saddle import build_step_matrix
+from chdbc.saddle import build_step_matrix, load_superlu
 from oracles import UNIT_TRIANGLE, disk_step_matrix, scalar_step_matrix
 
+TESTS = Path(__file__).resolve().parent
 TRI = import_mesh(UNIT_TRIANGLE)  # nodes (0, 0), (1, 0), (0, 1)
 DISK_20 = generate_disk_mesh(20, 1.0)
 DISK_80 = generate_disk_mesh(80, 1.0)
@@ -280,6 +282,9 @@ LIBRARY_REFUSALS = [
                                np.arange(3)),
      RuntimeError, re.compile(r"step matrix factorization failed \(.+\); the mass or "
                               r"stiffness matrix is likely invalid")),
+    # a directory without SciPy's SuperLU extension
+    ("load_superlu-not-found", lambda: load_superlu(TESTS), ImportError,
+     f"no SuperLU extension module _superlu in {TESTS}"),
     ("solve-non-finite-rhs",
      lambda: disk_20_step_matrix().solve(np.where(np.arange(40) == 3, np.nan, 0.0)),
      ValueError, "rhs contains non-finite entries"),

@@ -227,9 +227,11 @@ def test_nested_dissection_fills_less_than_the_default_ordering(delta0_over_tau)
 @pytest.mark.parametrize("refinements", [None, (1, 2, 3, 4, 5)])
 def test_the_natural_ordering_implies_superlus_symmetric_mode(refinements,
                                                               delta0_over_tau):
-    # build_step_matrix leaves SymmetricMode to splu, which turns it on for
-    # permc_spec="NATURAL". Turned off, it changes perm_c and the factor on
-    # the 640-node evolve mesh, so a SciPy that stops implying it fails here.
+    # build_step_matrix calls SuperLU's gstrf itself, with what public splu
+    # passes it for these arguments. SymmetricMode, which splu implies for
+    # permc_spec="NATURAL", is passed to both (turned off, it changes perm_c
+    # and the factor on the 640-node evolve mesh). The factors must agree
+    # bit for bit, so a SciPy whose splu calls gstrf otherwise fails here.
     mesh = (generate_disk_mesh(640, 10.0) if refinements is None else
             disjoint_union([generate_disk_mesh(2 ** i * 10, 1.0) for i in refinements]))
     M, A, K = disk_step_matrix(mesh, delta0_over_tau)
@@ -306,16 +308,16 @@ def test_superlu_reads_the_only_complex_copy_with_a_small_panel(monkeypatch):
     assert 1 <= PANEL_SIZE <= 20
     mesh = generate_disk_mesh(320, 1.0)
     shape = (mesh.node_count,) * 2
-    splu, calls = spla.splu, []
+    gstrf, calls = saddle._superlu.gstrf, []
 
-    def checked(A, **kwargs):
+    def checked(n, nnz, data, *args, **kwargs):
         alive = [o for o in gc.get_objects() if sp.issparse(o)
                  and o.shape == shape and np.iscomplexobj(o.data)]
-        calls.append(kwargs["panel_size"])
-        assert len(alive) == 1 and alive[0] is A
-        return splu(A, **kwargs)
+        calls.append(kwargs["options"]["PanelSize"])
+        assert len(alive) == 1 and alive[0].data is data
+        return gstrf(n, nnz, data, *args, **kwargs)
 
-    monkeypatch.setattr(saddle.spla, "splu", checked)
+    monkeypatch.setattr(saddle._superlu, "gstrf", checked)
     gc.collect()
     integrator.run(manufactured_linear(), mesh, 0.01, 0.05,
                    integrator.bdf_scheme(2), start_mode="bootstrap")
@@ -328,14 +330,14 @@ def test_an_unforced_run_holds_only_M_and_A(monkeypatch):
     # sparse matrices of the mesh's shape alive are the stepper's M and A
     mesh = generate_disk_mesh(320, 1.0)
     shape = (mesh.node_count,) * 2
-    splu, alive_at_calls = spla.splu, []
+    gstrf, alive_at_calls = saddle._superlu.gstrf, []
 
-    def checked(A, **kwargs):
+    def checked(*args, **kwargs):
         alive_at_calls.append([o for o in gc.get_objects() if sp.issparse(o)
                                and o.shape == shape and not np.iscomplexobj(o.data)])
-        return splu(A, **kwargs)
+        return gstrf(*args, **kwargs)
 
-    monkeypatch.setattr(saddle.spla, "splu", checked)
+    monkeypatch.setattr(saddle._superlu, "gstrf", checked)
     stepper = integrator.Stepper(evolution_problem(), mesh, 1e-5, integrator.bdf_scheme(2))
     assert stepper.M_bulk is None and stepper.M_surf is None
     gc.collect()
