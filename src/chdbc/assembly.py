@@ -96,18 +96,18 @@ def _at_nodes(values, shape, what: str, times=None) -> np.ndarray:
 
 
 def nodal_interpolate(f: Callable, mesh: Mesh2D, t) -> np.ndarray:
-    """Nodal interpolation: entry i is f(x_i, y_i, t), from one call of f.
+    """Nodal interpolation: f at every node and time, from one call of f.
 
-    A scalar t gives shape (N,); a 1-D array of S times gives the (N, S)
-    node x time grid, from f(x[:, None], y[:, None], t[None, :]). Raises
-    ValueError naming where f is first non-finite.
+    Every field is called on the node x time grid, f(x[:, None], y[:, None],
+    t[None, :]). A 1-D array of S times gives shape (N, S), and a scalar t
+    gives (N,), the grid's one column. Raises ValueError naming where f is
+    first non-finite: the earliest such time and its first node.
     """
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    if np.ndim(t) == 0:
-        return _at_nodes(f(x, y, t), x.shape, "field")
-    t = np.asarray(t, dtype=float)
-    return _at_nodes(f(x[:, None], y[:, None], t[None, :]),
-                     (len(x), len(t)), "field", t)
+    times = np.array(t, dtype=float, ndmin=1)
+    vals = _at_nodes(f(x[:, None], y[:, None], times[None, :]),
+                     (len(x), len(times)), "field", times)
+    return vals if np.ndim(t) else vals[:, 0]
 
 
 def _node_vector(M: sp.spmatrix, v, ndims=(1,)) -> np.ndarray:

@@ -145,8 +145,9 @@ class Stepper:
     Built once, it owns M and A (and M's bulk and surface parts when the
     problem has a forcing), the mass weights, the load evaluator and the
     node order every factorization eliminates in. Level n lies at t = n tau,
-    the starting values included. `stream` factorizes the step matrix and
-    yields the time levels one at a time.
+    the starting values included. `starts` computes the k starting pairs,
+    and `stream` factorizes the step matrix and yields the time levels one
+    at a time.
     """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh2D, tau: float,
@@ -230,30 +231,30 @@ class Stepper:
                 recent = [u] + recent[:-1]
                 yield n, t, u, w
 
-    def starts(self, mode: str) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """The k starting pairs (u^j, w^j) at t = j tau, j = 0..k-1.
+    def starts(self, mode: str) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """The k starting pairs (u^j, w^j) at t = j tau, j = 0..k-1, as a list.
 
         mode 'exact' interpolates the stated exact solution; 'bootstrap' takes
         u^0 from the initial data at t = 0, with w^0 None (no step reads it),
         and reaches each later start with m = ceil(tau^(-(k-1)/k)) BDF1
         substeps (at most BOOTSTRAP_SUBSTEP_CAP). Their error, about tau^2/m
-        = tau^(2+(k-1)/k), is below the method order k for k >= 3.
+        = tau^(2+(k-1)/k), is below the method order k for k >= 3. The BDF1
+        factorization is released when the call returns.
         """
         problem, mesh, tau, k = self.problem, self.mesh, self.tau, self.scheme.k
         if mode == "exact":
             if not problem.has_exact_solution:
                 raise ValueError("start mode 'exact' needs exact solutions")
-            for j in range(k):
-                yield (assembly.nodal_interpolate(problem.exact_u, mesh, j * tau),
-                       assembly.nodal_interpolate(problem.exact_w, mesh, j * tau))
-            return
+            return [(assembly.nodal_interpolate(problem.exact_u, mesh, j * tau),
+                     assembly.nodal_interpolate(problem.exact_w, mesh, j * tau))
+                    for j in range(k)]
         if mode != "bootstrap":
             raise ValueError(f"start mode must be 'exact' or 'bootstrap', got {mode!r}")
 
         u = assembly.nodal_interpolate(problem.u0, mesh, 0.0)
-        yield u, None
+        pairs = [(u, None)]
         if k == 1:
-            return
+            return pairs
         m = _bootstrap_substeps(tau, k)
         sub = tau / m
         one = bdf_scheme(1)
@@ -262,35 +263,32 @@ class Stepper:
             for _, _, u, w in self._march(K1, one, [u], range(1, m + 1),
                                           (j - 1) * tau, sub, j):
                 pass
-            yield u, w
+            pairs.append((u, w))
+        return pairs
 
-    def stream(self, n_steps: int, starts: Iterable[Tuple[np.ndarray, np.ndarray]]
+    def stream(self, n_steps: int, starts: Sequence[Tuple[np.ndarray, Optional[np.ndarray]]]
                ) -> Iterator[Tuple[int, float, np.ndarray, np.ndarray]]:
         """Yield (n, t, u, w) for n = 0..n_steps, holding only the k newest u.
 
-        `starts` supplies the first k pairs (w is None at a bootstrap level
-        0), no fewer and no more, and n_steps, at least k - 1, comes from
-        `step_count`. The step matrix is factorized once the starting values
-        are done, after a bootstrap has released its own factorization, and
-        not at all when they fill the run (n_steps = k - 1).
+        `starts` holds the first k pairs (w is None at a bootstrap level 0),
+        and n_steps, at least k - 1, comes from `step_count`; both are
+        checked before level 0 is yielded. The step matrix is factorized
+        once the starting values have been yielded, and not at all when they
+        fill the run (n_steps = k - 1).
         """
         k = self.scheme.k
         if n_steps < k - 1:
             raise ValueError(f"n_steps={n_steps} is fewer than the k - 1 = {k - 1} "
                              f"steps the starting values of BDF{k} fill")
-        recent: List[np.ndarray] = []  # newest first
-        for n, (u, w) in enumerate(starts):
-            if n == k:
-                raise ValueError(f"the starting values fill more than {k} levels, "
-                                 f"but BDF{k} needs {k}")
-            recent.insert(0, u)
-            yield n, n * self.tau, u, w
-        if len(recent) < k:
-            raise ValueError(f"the starting values fill {len(recent)} level(s), "
+        if len(starts) != k:
+            raise ValueError(f"the starting values fill {len(starts)} level(s), "
                              f"but BDF{k} needs {k}")
+        for n, (u, w) in enumerate(starts):
+            yield n, n * self.tau, u, w
         if n_steps == k - 1:
             return
         K = self._step_matrix(self.scheme.delta[0], self.tau)
+        recent = [u for u, _ in reversed(starts)]  # newest first
         yield from self._march(K, self.scheme, recent, range(k, n_steps + 1),
                                0.0, self.tau)
 

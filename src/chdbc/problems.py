@@ -8,11 +8,10 @@ forcings. The hard-coded formulas are guarded by the finite-difference
 residual oracle in tests/oracles.py.
 
 Fields and nonlinearities are called on whole node arrays, so they must be
-written with NumPy operations; a constant result is broadcast. A forcing is
-called once per block of time steps, on x[:, None], y[:, None] and
-t[None, :], so it must vectorize over t too; the residual oracle calls the
-exact solutions that way as well. The solver gives u0 and the exact
-solutions a scalar t.
+written with NumPy operations; a constant result is broadcast. Every field,
+u0, the forcings and the exact solutions alike, is called one way: on the
+node x time grid x[:, None], y[:, None], t[None, :], with one column of t
+for one time and a block of them for a forcing's block of steps.
 """
 
 from __future__ import annotations

@@ -179,11 +179,17 @@ def test_nodal_interpolate_examples(tri):
     assert v[2] == pytest.approx(0.25, rel=1e-15)
 
 
-def test_nodal_interpolate_accepts_scalar_only_fields(tri):
-    import math
+def test_nodal_interpolate_calls_every_field_on_the_node_time_grid(tri):
+    # one calling rule: a scalar t is the grid's one column
+    shapes = []
 
-    vals = nodal_interpolate(lambda x, y, t: math.exp(-t) * (x + y), tri, 0.0)
-    np.testing.assert_allclose(vals, [0.0, 1.0, 1.0], atol=1e-15)
+    def f(x, y, t):
+        shapes.append((x.shape, y.shape, t.shape))
+        return np.exp(-t) * (x + y)
+
+    np.testing.assert_allclose(nodal_interpolate(f, tri, 0.0), [0.0, 1.0, 1.0], atol=1e-15)
+    assert nodal_interpolate(f, tri, np.array([0.0, 1.0])).shape == (3, 2)
+    assert shapes == [((3, 1), (3, 1), (1, 1)), ((3, 1), (3, 1), (1, 2))]
 
 
 def test_nodal_interpolate_on_a_time_grid_matches_each_time_bitwise():

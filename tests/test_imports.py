@@ -1,8 +1,8 @@
 """Stdlib `ast` scans: every imported name is used in the package, the tests
 and the tools (`from __future__` imports are exempt), the package holds only
-code that it names itself, and it passes every parameter it gives a
-default. And the import floor: `import chdbc.cli` loads nothing but chdbc
-beyond NumPy and `scipy.sparse`."""
+code and module-level names that it reads itself, and it passes every
+parameter it gives a default. And the import floor: `import chdbc.cli`
+loads nothing but chdbc beyond NumPy and `scipy.sparse`."""
 
 import ast
 import os
@@ -47,12 +47,14 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def unreferenced_definitions(sources):
-    """`file: name` of each top-level function or class, and each method that
-    is not a dunder, that no source names. `sources` maps file to text."""
+    """`file: name` of each top-level function, class or assigned name, and
+    each method that is not a dunder, that no source reads. A name is read
+    only where it is loaded, never where it is assigned. `sources` maps file
+    to text."""
     trees = {file: ast.parse(text) for file, text in sources.items()}
-    named = {n.id if isinstance(n, ast.Name) else n.attr
-             for tree in trees.values() for n in ast.walk(tree)
-             if isinstance(n, (ast.Name, ast.Attribute))}
+    loaded = {n.id if isinstance(n, ast.Name) else n.attr
+              for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
     found = []
     for file, tree in trees.items():
         for node in tree.body:
@@ -61,15 +63,22 @@ def unreferenced_definitions(sources):
             if isinstance(node, ast.ClassDef):
                 defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
-            found += [f"{file}: {label}" for label, name in defs if name not in named]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(n.id, n.id) for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            found += [f"{file}: {label}" for label, name in defs if name not in loaded]
     return found
 
 
 def test_package_defines_only_what_it_names():
+    # the scan itself: C.g and h are never named, L is never read, and N is
+    # only assigned, in both files
     assert unreferenced_definitions({
         "a.py": "class C:\n    def __init__(self): pass\n    def f(self): pass\n"
-                "    def g(self): pass\ndef h(): pass\n",
-        "b.py": "from a import C\nC().f()\n"}) == ["a.py: C.g", "a.py: h"]
+                "    def g(self): pass\ndef h(): pass\nK, L = 1, 2\nM: int = 3\nN = 4\n",
+        "b.py": "from a import C, K, M\nC().f()\nprint(K, M)\nN = 5\n"}) == [
+        "a.py: C.g", "a.py: h", "a.py: L", "a.py: N", "b.py: N"]
     sources = {path.name: path.read_text()
                for path in sorted((ROOT / "src/chdbc").glob("*.py"))}
     # the one exception: the benchmark tracer reads it, and

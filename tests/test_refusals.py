@@ -70,12 +70,13 @@ class NaNSolve:
         return np.full_like(b, np.nan)
 
 
-def bdf3_stream(n_steps, n_starts):
-    """Every level of a BDF3 stream on the 20-node disk, from n_starts starts:
-    the exact ones, repeated from the first when more than 3 are asked for."""
+def bdf3_first_level(n_steps, n_starts):
+    """Level 0 of a BDF3 stream on the 20-node disk, from n_starts starts:
+    the exact ones, repeated from the first when more than 3 are asked for.
+    `stream` refuses its arguments before it yields that level."""
     stepper = Stepper(manufactured_linear(), DISK_20, 0.01, bdf_scheme(3))
     starts = list(stepper.starts("exact"))
-    return list(stepper.stream(n_steps, (starts * 2)[:n_starts]))
+    return next(stepper.stream(n_steps, (starts * 2)[:n_starts]))
 
 
 def disk_20_step_matrix(A=None, ratio=1.0):
@@ -107,7 +108,7 @@ LIBRARY_REFUSALS = [
      ValueError, "final_error needs a problem with exact solutions"),
     # assembly
     ("nodal_interpolate-inf", lambda: nodal_interpolate(inf_at_x_1, TRI, 0.0), ValueError,
-     "field returned inf at node 1"),
+     "field returned inf at node 1, t = 0.0"),
     ("nodal_interpolate-grid-nan",
      lambda: nodal_interpolate(nan_at_node_2_then_1, TRI, np.array([0.0, 0.25, 0.5])),
      ValueError, "field returned nan at node 2, t = 0.25"),
@@ -164,13 +165,13 @@ LIBRARY_REFUSALS = [
      lambda: run(ProblemSpec(f2_surf=nan_at_node_7_from_t_0_05), generate_disk_mesh(40, 1.0),
                  0.01, 0.1, bdf_scheme(1), "bootstrap"),
      ValueError, "field returned nan at node 7, t = 0.05"),
-    *((f"stream-{n_steps}-steps-of-bdf3", lambda n_steps=n_steps: bdf3_stream(n_steps, 3),
+    *((f"stream-{n_steps}-steps-of-bdf3", lambda n_steps=n_steps: bdf3_first_level(n_steps, 3),
        ValueError, f"n_steps={n_steps} is fewer than the k - 1 = 2 steps the starting "
        "values of BDF3 fill") for n_steps in (0, 1)),
-    ("stream-too-few-starts", lambda: bdf3_stream(2, 2), ValueError,
+    ("stream-too-few-starts", lambda: bdf3_first_level(2, 2), ValueError,
      "the starting values fill 2 level(s), but BDF3 needs 3"),
-    ("stream-too-many-starts", lambda: bdf3_stream(2, 4), ValueError,
-     "the starting values fill more than 3 levels, but BDF3 needs 3"),
+    ("stream-too-many-starts", lambda: bdf3_first_level(2, 4), ValueError,
+     "the starting values fill 4 level(s), but BDF3 needs 3"),
     # mesh
     ("generate_disk_mesh-3-nodes", lambda: generate_disk_mesh(3, 1.0), ValueError,
      "target_nodes must be >= 4, got 3"),
