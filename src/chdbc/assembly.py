@@ -81,11 +81,12 @@ def _at_nodes(values, shape, what: str, times=None) -> np.ndarray:
     """One evaluation's result as a fresh, finite float array of `shape`.
 
     `shape` is (N,), or (N, S) for the S `times`. A constant is broadcast; a
-    result that cannot broadcast raises NumPy's ValueError, a non-finite
-    entry one naming `what`, the earliest such time and its first node.
+    result that cannot broadcast raises NumPy's ValueError, a complex one its
+    TypeError, and a non-finite entry a ValueError naming `what`, the
+    earliest such time and its first node.
     """
     vals = np.empty(shape)
-    vals[...] = values
+    np.copyto(vals, values, casting="same_kind")
     finite = np.isfinite(vals)
     if not finite.all():
         first = int(np.argmin(finite.T))  # time-major: earliest time first
@@ -101,12 +102,18 @@ def nodal_interpolate(f: Callable, mesh: Mesh2D, t) -> np.ndarray:
     Every field is called on the node x time grid, f(x[:, None], y[:, None],
     t[None, :]). A 1-D array of S times gives shape (N, S), and a scalar t
     gives (N,), the grid's one column. Raises ValueError naming where f is
-    first non-finite: the earliest such time and its first node.
+    first non-finite (the earliest such time and its first node), and naming
+    the call's times if f raises TypeError or returns complex values.
     """
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     times = np.array(t, dtype=float, ndmin=1)
-    vals = _at_nodes(f(x[:, None], y[:, None], times[None, :]),
-                     (len(x), len(times)), "field", times)
+    try:
+        vals = _at_nodes(f(x[:, None], y[:, None], times[None, :]),
+                         (len(x), len(times)), "field", times)
+    except TypeError as exc:
+        span = f"{times[0]}" + (f" to {times[-1]}" if len(times) > 1 else "")
+        raise ValueError(f"field failed at t = {span}: fields are called on node "
+                         "arrays and must return real values") from exc
     return vals if np.ndim(t) else vals[:, 0]
 
 

@@ -156,19 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _on_grid(parser, what: str, rule: Callable[..., int], *args) -> int:
-    # rule is integrator's step_count or step_index; a rejection is a usage error
+def _checked(parser, prefix: str, rule: Callable, *args):
+    # a library rule's ValueError is a usage error; prefix "--" names the flag
     try:
         return rule(*args)
     except ValueError as exc:
-        parser.error(f"{what}: {exc}")
-
-
-def _check_disk(args, parser) -> None:
-    if args.nodes < 4:
-        parser.error(f"--nodes must be >= 4, got {args.nodes}")
-    if not (args.radius > 0 and np.isfinite(args.radius)):
-        parser.error(f"--radius must be positive and finite, got {args.radius}")
+        parser.error(f"{prefix}{exc}")
 
 
 def cmd_convergence(args, parser) -> int:
@@ -178,7 +171,7 @@ def cmd_convergence(args, parser) -> int:
     if any(i < 1 or i > 8 for i in args.refinements):
         parser.error("refinement indices must lie in [1, 8]")
     for tau in taus:
-        _on_grid(parser, "convergence", integrator.step_count, tau, args.T, args.k)
+        _checked(parser, "convergence: ", integrator.step_count, tau, args.T, args.k)
     _check_out_file(args.out)
     problem = problems.MANUFACTURED[args.problem]()
     scheme = integrator.bdf_scheme(args.k)
@@ -225,17 +218,15 @@ def _vtk_snapshot(m: meshmod.Mesh2D, u: np.ndarray, title: str) -> str:
 
 
 def cmd_evolve(args, parser) -> int:
-    _check_disk(args, parser)
-    if not (args.strength > 0 and np.isfinite(args.strength)):
-        parser.error(f"--strength must be positive and finite, got {args.strength}")
-    if not 0 <= args.seed < 2 ** 64:
-        parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
-    n_steps = _on_grid(parser, "evolve", integrator.step_count,
+    _checked(parser, "--", meshmod.check_disk, args.nodes, args.radius)
+    problem = _checked(parser, "--", lambda: problems.evolution_problem(
+        strength=args.strength, seed=args.seed))
+    n_steps = _checked(parser, "evolve: ", integrator.step_count,
                        args.tau, args.T, args.k)
     snap_steps, snap_names = {}, {}
     for t in args.snapshots:
         t += 0.0  # -0.0 becomes 0.0: one time, one step and one name
-        idx = _on_grid(parser, "--snapshots", integrator.step_index, t, args.tau)
+        idx = _checked(parser, "--snapshots: ", integrator.step_index, t, args.tau)
         if not 0 <= idx <= n_steps:
             parser.error(f"--snapshots: time {t} lies outside [0, {args.T}]")
         # one file per step and one step per file name
@@ -250,7 +241,6 @@ def cmd_evolve(args, parser) -> int:
         snap_steps[idx] = t
     _check_out_dir(args.out)
 
-    problem = problems.evolution_problem(strength=args.strength, seed=args.seed)
     m = meshmod.generate_disk_mesh(args.nodes, args.radius)
     scheme = integrator.bdf_scheme(args.k)
 
@@ -274,7 +264,7 @@ def cmd_evolve(args, parser) -> int:
 
 
 def cmd_mesh(args, parser) -> int:
-    _check_disk(args, parser)
+    _checked(parser, "--", meshmod.check_disk, args.nodes, args.radius)
     _check_out_file(args.out)
     m = meshmod.generate_disk_mesh(args.nodes, args.radius)
     text = meshmod.export_mesh(m)

@@ -152,6 +152,7 @@ class Stepper:
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh2D, tau: float,
                  scheme: BDFScheme):
+        step_index(0.0, tau)  # its tau rule, before anything is assembled
         self.problem, self.mesh, self.tau, self.scheme = problem, mesh, tau, scheme
         self._forcings = ((problem.f1_bulk, problem.f1_surf),
                           (problem.f2_bulk, problem.f2_surf))

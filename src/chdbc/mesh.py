@@ -1,8 +1,8 @@
 """Triangulated disk meshes.
 
-Generates quasi-uniform triangulations of a disk whose boundary vertices sit
-exactly on the circle, imports/exports them in a line-oriented text format,
-and validates the structural invariants that the assembly routines rely on.
+Generates quasi-uniform disk triangulations, for the node targets and radii
+that `check_disk` admits, with boundary vertices exactly on the circle;
+imports and exports them as text and validates the invariants assembly needs.
 """
 
 from __future__ import annotations
@@ -231,6 +231,14 @@ def validate_mesh(mesh: Mesh2D) -> None:
                 f"(tolerance {CIRCLE_TOL * mesh.radius:.3e})", "NODES", k)
 
 
+def check_disk(nodes: int, radius: float) -> None:
+    """The one rule for a disk mesh's node target and radius."""
+    if nodes < 4:
+        raise ValueError(f"nodes must be >= 4, got {nodes}")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+
+
 def generate_disk_mesh(target_nodes: int, radius: float = 1.0) -> Mesh2D:
     """Generate a quasi-uniform disk triangulation with ~target_nodes nodes.
 
@@ -248,15 +256,11 @@ def generate_disk_mesh(target_nodes: int, radius: float = 1.0) -> Mesh2D:
     Parameters
     ----------
     target_nodes : int
-        Requested node count (>= 4). The result is within +/-15%.
+        Requested node count (`check_disk`: >= 4). The result is within +/-15%.
     radius : float
-        Disk radius (positive and finite).
+        Disk radius (`check_disk`: positive and finite).
     """
-    if target_nodes < 4:
-        raise ValueError(f"target_nodes must be >= 4, got {target_nodes}")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-
+    check_disk(target_nodes, radius)
     m = max(1, round(math.sqrt((target_nodes - 1) / math.pi) - 0.5))
     c = 2.0 * (target_nodes - 1) / (m * (m + 1))
     sizes = np.r_[1, np.maximum(3, np.rint(c * np.arange(1, m + 1)))].astype(np.int64)

@@ -8,10 +8,11 @@ forcings. The hard-coded formulas are guarded by the finite-difference
 residual oracle in tests/oracles.py.
 
 Fields and nonlinearities are called on whole node arrays, so they must be
-written with NumPy operations; a constant result is broadcast. Every field,
-u0, the forcings and the exact solutions alike, is called one way: on the
-node x time grid x[:, None], y[:, None], t[None, :], with one column of t
-for one time and a block of them for a forcing's block of steps.
+NumPy expressions with real values; `assembly.nodal_interpolate` refuses a
+field that raises TypeError (`math.exp`) or returns complex values. A constant
+result is broadcast. Every field, u0, the forcings and the exact solutions
+alike, is called one way: on the node x time grid x[:, None], y[:, None],
+t[None, :], one column of t for one time and a block for a block of steps.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-
-ScalarField = Callable[[float, float, float], float]
-ScalarMap = Callable[[float], float]
 
 
 def zero_field(x, y, t):
@@ -47,15 +45,15 @@ class ProblemSpec:
     for energy diagnostics.
     """
 
-    f1_bulk: ScalarField = zero_field
-    f2_bulk: ScalarField = zero_field
-    f1_surf: ScalarField = zero_field
-    f2_surf: ScalarField = zero_field
-    nonlinearity: ScalarMap = zero_map
-    u0: ScalarField = zero_field
-    exact_u: Optional[ScalarField] = None
-    exact_w: Optional[ScalarField] = None
-    potential: Optional[ScalarMap] = None
+    f1_bulk: Callable = zero_field
+    f2_bulk: Callable = zero_field
+    f1_surf: Callable = zero_field
+    f2_surf: Callable = zero_field
+    nonlinearity: Callable = zero_map
+    u0: Callable = zero_field
+    exact_u: Optional[Callable] = None
+    exact_w: Optional[Callable] = None
+    potential: Optional[Callable] = None
 
     @property
     def has_exact_solution(self) -> bool:
@@ -110,7 +108,7 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def _coin_flip_field(seed: int) -> ScalarField:
+def _coin_flip_field(seed: int) -> Callable:
     """Per-point +/-1 draw: the top bit of mix(mix(mix(seed) ^ xbits) ^ ybits).
 
     Keyed on the coordinates' bit patterns, the field is re-entrant: a point

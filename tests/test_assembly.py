@@ -192,6 +192,17 @@ def test_nodal_interpolate_calls_every_field_on_the_node_time_grid(tri):
     assert shapes == [((3, 1), (3, 1), (1, 1)), ((3, 1), (3, 1), (1, 2))]
 
 
+def test_a_field_that_breaks_the_array_contract_is_refused_from_numpys_error(tri):
+    # a field written for scalars, and one whose imaginary part a cast
+    # would drop: the cause is NumPy's TypeError
+    with pytest.raises(ValueError, match="called on node arrays") as info:
+        nodal_interpolate(lambda x, y, t: float(x), tri, 0.0)
+    assert type(info.value.__cause__) is TypeError
+    with pytest.raises(ValueError, match="must return real values") as info:
+        nodal_interpolate(lambda x, y, t: 1j * x, tri, 0.0)
+    assert type(info.value.__cause__) is TypeError
+
+
 def test_nodal_interpolate_on_a_time_grid_matches_each_time_bitwise():
     mesh = generate_disk_mesh(80, 1.0)
     f = lambda x, y, t: -5.0 * np.exp(-t) * x * y - (np.exp(-t) * x * y) ** 3

@@ -11,17 +11,19 @@ import math
 import re
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from chdbc.analysis import eoc, final_error, h1_norm, l2_norm
+from chdbc import assembly
 from chdbc.assembly import (assemble_bulk_mass, load_vector, nodal_interpolate,
                             nonlinearity_vector)
 from chdbc.integrator import Stepper, bdf_scheme, bdf_step, run
-from chdbc.mesh import (Mesh2D, MeshInvariantError, disjoint_union, generate_disk_mesh,
-                        import_mesh, validate_mesh)
+from chdbc.mesh import (Mesh2D, MeshInvariantError, check_disk, disjoint_union,
+                        generate_disk_mesh, import_mesh, validate_mesh)
 from chdbc.problems import ProblemSpec, evolution_problem, manufactured_linear
 from chdbc.saddle import build_step_matrix, load_superlu
 from oracles import UNIT_TRIANGLE, disk_step_matrix, scalar_step_matrix
@@ -79,6 +81,16 @@ def bdf3_first_level(n_steps, n_starts):
     return next(stepper.stream(n_steps, (starts * 2)[:n_starts]))
 
 
+def two_steps(tau, k, start_mode):
+    """Every level of two BDFk steps of size tau on the 20-node disk, from
+    `start_mode` starts. The Stepper refuses a bad tau before it assembles."""
+    stepper = Stepper(manufactured_linear(), DISK_20, tau, bdf_scheme(k))
+    return list(stepper.stream(2, stepper.starts(start_mode)))
+
+
+FIELD_RULE = "fields are called on node arrays and must return real values"
+
+
 def disk_20_step_matrix(A=None, ratio=1.0):
     """The 20-node disk's step matrix, with another A or delta0/tau if given."""
     M20, A20, K20 = disk_step_matrix(DISK_20, 1.0)
@@ -116,6 +128,16 @@ LIBRARY_REFUSALS = [
      lambda: nodal_interpolate(lambda x, y, t: np.where((x == 1.0) & (t == 0.5), np.inf, y),
                                TRI, np.array([0.0, 0.5])),
      ValueError, "field returned inf at node 1, t = 0.5"),
+    # a field written for scalars, and complex fields, whose imaginary part
+    # an assignment to a float array would drop
+    ("nodal_interpolate-math-exp",
+     lambda: nodal_interpolate(lambda x, y, t: math.exp(-t) * x, TRI, 0.0), ValueError,
+     f"field failed at t = 0.0: {FIELD_RULE}"),
+    ("nodal_interpolate-complex", lambda: nodal_interpolate(lambda x, y, t: 1j * x, TRI, 0.0),
+     ValueError, f"field failed at t = 0.0: {FIELD_RULE}"),
+    ("nodal_interpolate-grid-complex",
+     lambda: nodal_interpolate(lambda x, y, t: x + 0j * t, TRI, np.array([0.0, 0.25, 0.5])),
+     ValueError, f"field failed at t = 0.0 to 0.5: {FIELD_RULE}"),
     ("load_vector-wrong-length", lambda: load_vector(assemble_bulk_mass(TRI), np.zeros(5)),
      ValueError, "vector length (5,) does not match matrix dimension 3"),
     ("nonlinearity_vector-nan",
@@ -172,9 +194,22 @@ LIBRARY_REFUSALS = [
      "the starting values fill 2 level(s), but BDF3 needs 3"),
     ("stream-too-many-starts", lambda: bdf3_first_level(2, 4), ValueError,
      "the starting values fill 4 level(s), but BDF3 needs 3"),
+    # the step size, refused before assembly by the grid rule, with both
+    # start modes: a bootstrap's substeps and exact starts each compute
+    # with tau (divide by it, take its powers, interpolate at j tau)
+    *((f"Stepper-tau-{tau}-bdf{k}-{mode}", lambda args=(tau, k, mode): two_steps(*args),
+       ValueError, f"tau must be positive and finite, got {tau}")
+      for tau, k, mode in ((0.0, 1, "exact"), (0.0, 2, "bootstrap"), (-0.1, 2, "bootstrap"),
+                           (-0.1, 2, "exact"), (math.nan, 2, "bootstrap"),
+                           (math.inf, 1, "exact"), (math.inf, 2, "bootstrap"))),
     # mesh
     ("generate_disk_mesh-3-nodes", lambda: generate_disk_mesh(3, 1.0), ValueError,
-     "target_nodes must be >= 4, got 3"),
+     "nodes must be >= 4, got 3"),
+    *((f"check_disk-{n}-nodes", lambda n=n: check_disk(n, 1.0), ValueError,
+       f"nodes must be >= 4, got {n}") for n in (3, 0, -5)),
+    *((f"check_disk-radius-{r}", lambda r=r: check_disk(4, r), ValueError,
+       f"radius must be positive and finite, got {r}")
+      for r in (0.0, -1.0, math.inf, math.nan)),
     *((f"generate_disk_mesh-radius-{r}", lambda r=r: generate_disk_mesh(20, r), ValueError,
        f"radius must be positive and finite, got {r}")
       for r in (-1.0, math.inf, -math.inf, math.nan)),
@@ -304,3 +339,17 @@ def test_a_refused_call_raises_its_exact_error(call, error, message):
         assert message.fullmatch(str(info.value)), str(info.value)
     else:
         assert str(info.value) == message
+
+
+def test_a_refused_stepper_assembles_nothing(monkeypatch):
+    names = ("assemble_bulk_mass", "assemble_surface_mass", "assemble_stiffness")
+    spies = [mock.Mock(wraps=getattr(assembly, name)) for name in names]
+    for name, spy in zip(names, spies):
+        monkeypatch.setattr(assembly, name, spy)
+    for tau in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^tau must be positive and finite"):
+            Stepper(manufactured_linear(), DISK_20, tau, bdf_scheme(2))
+    assert [spy.call_count for spy in spies] == [0, 0, 0]
+    # the spies see the assembly of an admitted tau
+    Stepper(manufactured_linear(), DISK_20, 0.01, bdf_scheme(2))
+    assert [spy.call_count for spy in spies] == [1, 1, 1]

@@ -69,6 +69,11 @@ COMMANDS: Tuple[Tuple[str, List[str]], ...] = (
     ("mesh-20", ["mesh", "--nodes", "20", "--radius", "1"]),
     # error paths: their messages and exit codes are outputs too
     ("evolve-strength-inf", ["evolve", "--strength", "inf", "--out", "out"]),
+    # the disk and seed rules, refused through mesh.check_disk and
+    # problems.evolution_problem: usage line and message
+    ("mesh-nodes-3", ["mesh", "--nodes", "3"]),
+    ("evolve-seed-minus-1", ["evolve", "--seed", "-1", "--out", "out"]),
+    ("evolve-radius-nan", ["evolve", "--radius", "nan", "--out", "out"]),
     ("convergence-tau-not-dividing",
      ["convergence", "--problem", "linear", "--tau", "0.3"]),
     # the usage line as well as the message of a non-positive step size
